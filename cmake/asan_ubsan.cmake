@@ -40,11 +40,15 @@ endif()
 # degenerate and adversarial streams (NaN/inf timestamps, merge pooling,
 # alias-table draws); index math over the block ring and the sketch's
 # retained vectors is exactly the kind of off-by-one ASan/UBSan catches.
+# test_stats_periodogram drives periodogram_band over prime, odd and
+# week-length series: its partial last block and (j·t) mod n twiddle
+# indices are the same kind of index math.
 set(FULLWEB_ASAN_TESTS
   test_support_workspace test_support_json
   test_tools_bench_compare test_edge_inputs
   test_validation test_weblog_corpus test_weblog_parser_identity
-  test_store_columnar test_online_sketch test_online_analyzer)
+  test_store_columnar test_online_sketch test_online_analyzer
+  test_stats_periodogram)
 
 message(STATUS "[asan] building ${FULLWEB_ASAN_TESTS}")
 execute_process(

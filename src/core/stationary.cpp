@@ -1,6 +1,5 @@
 #include "core/stationary.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "stats/periodogram.h"
@@ -16,10 +15,10 @@ using support::Result;
 
 namespace {
 
-/// The detrend -> periodogram -> period/strength chain (§4.1 steps 1-2,
-/// before any removal). One periodogram serves both the dominant-period
-/// scan and the strength diagnostic; they used to pay a full-series FFT
-/// each.
+/// The detrend -> periodogram band -> period/strength chain (§4.1 steps
+/// 1-2, before any removal). One band — the ordinates whose periods lie in
+/// [min_period, max_period] plus the total power — serves both the
+/// dominant-period scan and the strength diagnostic.
 struct SeasonalScan {
   timeseries::TrendFit trend;
   std::optional<std::size_t> period;
@@ -27,24 +26,22 @@ struct SeasonalScan {
 };
 
 SeasonalScan scan_seasonality(std::span<const double> xs,
-                              const StationaryOptions& options,
-                              support::Executor& ex) {
+                              const StationaryOptions& options) {
   SeasonalScan scan;
   scan.trend = timeseries::detrend_linear(xs, /*keep_mean=*/true);
   const auto& working = scan.trend.residual;
   if (working.size() >= 2 * options.max_period) {
-    // The full-series FFT dominates this stage; chunk it on the pool. The
-    // width annotation mirrors the FFT's ~16k-element chunk granularity.
-    support::StageTimer t(
-        options.timings, "scan periodogram", support::StageTimings::Kind::kPhase,
-        std::max<double>(1.0, static_cast<double>(working.size()) / 32768.0));
-    const auto pg = stats::periodogram(working, &ex);
-    if (auto period = timeseries::detect_period(pg, options.min_period,
+    support::StageTimer t(options.timings, "scan periodogram",
+                          support::StageTimings::Kind::kPhase);
+    // make_stationary validated the bounds, so the band cannot fail.
+    const auto band = stats::periodogram_band(working, options.min_period,
+                                              options.max_period)
+                          .value();
+    if (auto period = timeseries::detect_period(band, options.min_period,
                                                 options.max_period);
         period.ok()) {
       scan.period = period.value();
-      scan.strength =
-          timeseries::seasonal_strength(pg, working.size(), *scan.period);
+      scan.strength = timeseries::seasonal_strength(band, *scan.period);
     }
   }
   return scan;
@@ -54,12 +51,13 @@ SeasonalScan scan_seasonality(std::span<const double> xs,
 
 Result<StationaryReport> make_stationary(std::span<const double> xs,
                                          const StationaryOptions& options) {
+  if (options.min_period < 2 || options.max_period < options.min_period)
+    return Error::invalid_argument("make_stationary: bad period bounds");
   StationaryReport report;
   support::Executor& ex = support::Executor::resolve(options.executor);
 
   // The raw KPSS and the seasonality scan are independent reads of the
-  // input, and the scan carries the full-series FFT that dominates this
-  // stage, so a parallel pool overlaps them. With only_if_nonstationary the
+  // input, so a parallel pool overlaps them. With only_if_nonstationary the
   // scan is speculative — a stationary verdict discards it — which is the
   // right trade on the nonstationary week-scale series this pipeline exists
   // for. Every value below is a pure function of the input, so the report
@@ -78,7 +76,7 @@ Result<StationaryReport> make_stationary(std::span<const double> xs,
     });
     group.run([&] {
       support::StageTimer t(options.timings, "seasonal scan");
-      scan = scan_seasonality(xs, options, ex);
+      scan = scan_seasonality(xs, options);
     });
     group.wait();
   }
@@ -97,7 +95,7 @@ Result<StationaryReport> make_stationary(std::span<const double> xs,
     // this scan with the raw KPSS above, and span trees are captured from
     // serial runs.
     support::StageTimer t(options.timings, "seasonal scan");
-    scan = scan_seasonality(xs, options, ex);
+    scan = scan_seasonality(xs, options);
   }
 
   // 1. Trend: least-squares estimate, removed (mean level preserved).

@@ -2,6 +2,10 @@
 //   KPSS on the raw series -> least-squares trend removal -> periodogram
 //   periodicity detection -> seasonal differencing -> KPSS re-test.
 //
+// Detection reads only the periodogram ordinates whose periods lie in the
+// search range (stats::periodogram_band, O(n) per ordinate): a week of
+// 1-second bins takes ~170 direct DFT ordinates, not a week-length FFT.
+//
 // Hurst estimators assume stationarity; skipping this pipeline overestimates
 // long-range dependence (the paper's central methodological point).
 #pragma once
@@ -28,8 +32,9 @@ enum class SeasonalMethod {
 
 struct StationaryOptions {
   /// Periodicity search range in samples; defaults bracket the 24 h cycle
-  /// for 1-second bins. The series must cover >= 2 cycles of max_period for
-  /// seasonal detection to run at all.
+  /// for 1-second bins. Requires 2 <= min_period <= max_period
+  /// (make_stationary returns invalid_argument otherwise). The series must
+  /// cover >= 2 cycles of max_period for seasonal detection to run at all.
   std::size_t min_period = 3600;
   std::size_t max_period = 2 * 86400;
   SeasonalMethod seasonal_method = SeasonalMethod::kDifference;

@@ -1,9 +1,13 @@
 // Fast Fourier transform: iterative radix-2 Cooley-Tukey for power-of-two
 // lengths plus Bluestein's chirp-z algorithm for arbitrary lengths.
 //
-// Used by the periodogram (week-length per-second series, n = 604,800 — not a
-// power of two), FFT-based autocorrelation, and the Davies-Harte fractional
-// Gaussian noise generator.
+// Used by the periodogram behind the Hurst estimators (series truncated to a
+// power of two), FFT-based autocorrelation (zero-padded to a power of two),
+// and the Davies-Harte fractional Gaussian noise generator (a 2n-point
+// circulant, a Bluestein length for a week of 1-second bins). No fit path
+// transforms a week-length series (n = t1 − t0 on real logs): the seasonal
+// scan reads its narrow band of periodogram ordinates by direct DFT
+// (stats::periodogram_band).
 //
 // Transforms are driven by cached FftPlans: bit-reversal and per-stage
 // twiddle tables for the radix-2 path, and for Bluestein lengths the chirp

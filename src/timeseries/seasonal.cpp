@@ -20,16 +20,18 @@ Result<std::size_t> detect_period(std::span<const double> xs,
     return Error::insufficient_data(
         "detect_period: need at least two full cycles of max_period");
 
-  return detect_period(stats::periodogram(xs), min_period, max_period);
+  const auto band = stats::periodogram_band(xs, min_period, max_period);
+  if (!band) return band.error();
+  return detect_period(band.value(), min_period, max_period);
 }
 
-Result<std::size_t> detect_period(const stats::Periodogram& pg,
+Result<std::size_t> detect_period(const stats::PeriodogramBand& band,
                                   std::size_t min_period,
                                   std::size_t max_period) {
   if (min_period < 2 || max_period < min_period)
     return Error::invalid_argument("detect_period: bad period bounds");
   const double period =
-      stats::dominant_period(pg, static_cast<double>(min_period),
+      stats::dominant_period(band.ordinates, static_cast<double>(min_period),
                              static_cast<double>(max_period));
   if (period <= 0.0)
     return Error::numeric("detect_period: no periodogram ordinate in range");
@@ -69,27 +71,25 @@ std::vector<double> remove_seasonal_means(std::span<const double> xs,
 
 double seasonal_strength(std::span<const double> xs, std::size_t period) {
   if (xs.size() < 4 || period < 2) return 0.0;
-  return seasonal_strength(stats::periodogram(xs), xs.size(), period);
+  const auto band = stats::periodogram_band(xs, period, period);
+  return band ? seasonal_strength(band.value(), period) : 0.0;
 }
 
-double seasonal_strength(const stats::Periodogram& pg, std::size_t n,
+double seasonal_strength(const stats::PeriodogramBand& band,
                          std::size_t period) {
-  if (n < 4 || period < 2) return 0.0;
-  if (pg.power.empty()) return 0.0;
+  if (band.n < 4 || period < 2) return 0.0;
+  if (!(band.total_power > 0.0)) return 0.0;
 
+  // Sum power within 1.5 bins of the target frequency.
   const double target =
       2.0 * std::numbers::pi / static_cast<double>(period);
-  double total = 0.0;
-  for (double p : pg.power) total += p;
-  if (!(total > 0.0)) return 0.0;
-
-  // Sum power within one bin of the target frequency.
-  const double bin = 2.0 * std::numbers::pi / static_cast<double>(n);
+  const double bin = 2.0 * std::numbers::pi / static_cast<double>(band.n);
+  const auto& pg = band.ordinates;
   double at_period = 0.0;
   for (std::size_t i = 0; i < pg.frequency.size(); ++i) {
     if (std::fabs(pg.frequency[i] - target) <= 1.5 * bin) at_period += pg.power[i];
   }
-  return at_period / total;
+  return at_period / band.total_power;
 }
 
 }  // namespace fullweb::timeseries

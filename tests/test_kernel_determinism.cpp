@@ -1,15 +1,19 @@
 // 1-vs-8-thread bit-identity for the kernels the scaling campaign
 // parallelized: the Downey curvature Monte Carlo (per-replicate RngSplitter
 // micro-streams), the wavelet transform behind Abry-Veitch (chunked
-// per-level convolutions), and the FFT-backed periodogram (chunked butterfly
-// stages). Every comparison is exact (==, not near): the contract is that an
-// executor changes throughput, never bits. This suite also runs under the
+// per-level convolutions), the FFT-backed periodogram (chunked butterfly
+// stages), and make_stationary (raw KPSS overlapped with the periodogram
+// band scan). Every comparison is exact (==, not near): the contract is that
+// an executor changes throughput, never bits. This suite also runs under the
 // tsan_determinism gate, where the same assertions double as race detectors.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <numbers>
 #include <vector>
 
+#include "core/stationary.h"
 #include "lrd/abry_veitch.h"
 #include "stats/distributions.h"
 #include "stats/periodogram.h"
@@ -140,6 +144,44 @@ TEST(KernelDeterminism, PeriodogramBitIdenticalAcrossThreadCounts) {
     const auto parallel = stats::periodogram(xs, &ex);
     ASSERT_EQ(parallel.power, serial.power) << threads;
     ASSERT_EQ(parallel.frequency, serial.frequency) << threads;
+  }
+}
+
+TEST(KernelDeterminism, MakeStationaryBitIdenticalAcrossThreadCounts) {
+  // A trending series with a 300-sample cycle, searched in [50, 600]: the
+  // band scan finds the cycle, and the parallel pool overlaps it with the
+  // raw KPSS.
+  auto xs = walk_series(24000, 606);
+  for (std::size_t t = 0; t < xs.size(); ++t)
+    xs[t] += 3.0 * std::sin(2.0 * std::numbers::pi * static_cast<double>(t) /
+                            300.0);
+  core::StationaryOptions opts;
+  opts.min_period = 50;
+  opts.max_period = 600;
+  opts.only_if_nonstationary = false;
+  auto run = [&](std::size_t threads) {
+    support::Executor ex(threads);
+    auto o = opts;
+    o.executor = &ex;
+    auto r = core::make_stationary(xs, o);
+    EXPECT_TRUE(r.ok()) << threads;
+    return r.ok() ? r.value() : core::StationaryReport{};
+  };
+  const auto serial = run(1);
+  ASSERT_TRUE(serial.seasonal_removed);
+  ASSERT_TRUE(serial.kpss_stationary.has_value());
+  for (std::size_t threads : {2u, 8u}) {
+    const auto parallel = run(threads);
+    EXPECT_EQ(parallel.period, serial.period) << threads;
+    EXPECT_EQ(parallel.seasonal_strength, serial.seasonal_strength) << threads;
+    EXPECT_EQ(parallel.trend_slope, serial.trend_slope) << threads;
+    EXPECT_EQ(parallel.kpss_raw.statistic, serial.kpss_raw.statistic)
+        << threads;
+    ASSERT_TRUE(parallel.kpss_stationary.has_value()) << threads;
+    EXPECT_EQ(parallel.kpss_stationary->statistic,
+              serial.kpss_stationary->statistic)
+        << threads;
+    EXPECT_EQ(parallel.series, serial.series) << threads;
   }
 }
 
