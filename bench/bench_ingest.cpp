@@ -1,7 +1,7 @@
 // Ingest microbenchmarks (google-benchmark) — throughput of the streaming
-// ingestion layer: chunked parallel CLF reading at 1/4/8 threads, the
-// batch (slurp + from_entries) reference path, chunk parsing, and the
-// streaming vs batch sessionizers.
+// ingestion layer: the full CLF ingest (chunked parallel read + parse +
+// intern + sessionize) at 1/4/8 threads, and the incremental sessionizer
+// alone.
 //
 // Unless --benchmark_out is given explicitly, results are also written as
 // google-benchmark JSON to BENCH_ingest.json in the working directory; diff
@@ -19,11 +19,8 @@
 #include "support/rng.h"
 #include "synth/generator.h"
 #include "weblog/clf.h"
-#include "weblog/clf_reader.h"
 #include "weblog/dataset.h"
-#include "weblog/merge.h"
 #include "weblog/sessionizer.h"
-#include "weblog/streaming_sessionizer.h"
 
 namespace {
 
@@ -90,40 +87,6 @@ void BM_IngestStream(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestStream)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
 
-/// The pre-streaming reference: slurp-parse everything, then from_entries.
-void BM_IngestBatch(benchmark::State& state) {
-  auto& fx = LogFixture::get();
-  const std::vector<std::string> paths = {fx.path()};
-  for (auto _ : state) {
-    auto merged = weblog::merge_clf_files(paths);
-    if (!merged.ok()) state.SkipWithError("merge failed");
-    auto ds = weblog::Dataset::from_entries("bench", merged.value().entries);
-    if (!ds.ok()) state.SkipWithError("dataset failed");
-    benchmark::DoNotOptimize(ds);
-  }
-  state.SetBytesProcessed(state.iterations() * fx.bytes());
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(fx.lines()));
-}
-BENCHMARK(BM_IngestBatch)->UseRealTime();
-
-/// Reader alone (no dataset/sessionizer): parallel parse throughput.
-void BM_ReadClfFile(benchmark::State& state) {
-  auto& fx = LogFixture::get();
-  support::Executor ex(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    weblog::ClfReaderOptions opts;
-    opts.executor = &ex;
-    std::size_t n = 0;
-    auto stats = weblog::read_clf_file(fx.path(), opts,
-                                       [&](weblog::LogEntry&&) { ++n; });
-    if (!stats.ok()) state.SkipWithError("read failed");
-    benchmark::DoNotOptimize(n);
-  }
-  state.SetBytesProcessed(state.iterations() * fx.bytes());
-}
-BENCHMARK(BM_ReadClfFile)->Arg(1)->Arg(8)->UseRealTime();
-
 std::vector<weblog::Request> sorted_requests(std::size_t n) {
   support::Rng rng(7);
   std::vector<weblog::Request> requests(n);
@@ -151,17 +114,6 @@ void BM_SessionizeStreaming(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SessionizeStreaming)->Arg(1 << 16)->Arg(1 << 20);
-
-/// Batch sessionization of the same sorted input, for the ratio.
-void BM_SessionizeBatchSorted(benchmark::State& state) {
-  const auto requests = sorted_requests(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto sessions = weblog::sessionize(requests);
-    benchmark::DoNotOptimize(sessions);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SessionizeBatchSorted)->Arg(1 << 16)->Arg(1 << 20);
 
 }  // namespace
 

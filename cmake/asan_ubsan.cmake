@@ -43,12 +43,16 @@ endif()
 # test_stats_periodogram drives periodogram_band over prime, odd and
 # week-length series: its partial last block and (j·t) mod n twiddle
 # indices are the same kind of index math.
+# test_weblog_streaming and test_weblog_sessionizer cover the one CLF ingest
+# path and the one sessionizer: multi-file and out-of-order ingest both run
+# through the chunk reader's carried partial lines and the sessionizer's
+# list splices and map erases, where a dangling iterator would live.
 set(FULLWEB_ASAN_TESTS
   test_support_workspace test_support_json
   test_tools_bench_compare test_edge_inputs
   test_validation test_weblog_corpus test_weblog_parser_identity
   test_store_columnar test_online_sketch test_online_analyzer
-  test_stats_periodogram)
+  test_stats_periodogram test_weblog_streaming test_weblog_sessionizer)
 
 message(STATUS "[asan] building ${FULLWEB_ASAN_TESTS}")
 execute_process(

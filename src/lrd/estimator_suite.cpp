@@ -49,8 +49,6 @@ support::Result<HurstEstimate> run_estimator(std::span<const double> xs,
       if (!r.ok()) return r.error();
       return r.value().estimate;
     }
-    case HurstMethod::kDfa:
-      return dfa_hurst(xs);
   }
   return support::Error::invalid_argument("unsupported aggregation method");
 }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "lrd/abry_veitch.h"
-#include "lrd/dfa.h"
 #include "lrd/hurst.h"
 #include "lrd/periodogram_hurst.h"
 #include "lrd/rs.h"

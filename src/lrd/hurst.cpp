@@ -9,7 +9,6 @@ std::string to_string(HurstMethod method) {
     case HurstMethod::kPeriodogram: return "Periodogram";
     case HurstMethod::kWhittle: return "Whittle";
     case HurstMethod::kAbryVeitch: return "Abry-Veitch";
-    case HurstMethod::kDfa: return "DFA";
   }
   return "?";
 }

@@ -21,7 +21,6 @@ enum class HurstMethod {
   kPeriodogram,
   kWhittle,
   kAbryVeitch,
-  kDfa,  ///< extension beyond the paper's five (see lrd/dfa.h)
 };
 
 [[nodiscard]] std::string to_string(HurstMethod method);

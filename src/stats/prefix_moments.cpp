@@ -4,7 +4,7 @@
 
 namespace fullweb::stats {
 
-PrefixMoments::PrefixMoments(std::span<const double> xs, Weighted weighted) {
+PrefixMoments::PrefixMoments(std::span<const double> xs) {
   n_ = xs.size();
   cum_.assign(n_ + 1, 0.0);
   cum2_.assign(n_ + 1, 0.0);
@@ -12,38 +12,15 @@ PrefixMoments::PrefixMoments(std::span<const double> xs, Weighted weighted) {
   anchor_ = compensated_mean(xs);
 
   // Each prefix array stores the correctly-rounded running Neumaier sum at
-  // every index; the independent accumulator chains (v, v^2, and the
-  // optional weighted ones) interleave, so the serial dependency of one
-  // chain overlaps the others' arithmetic.
+  // every index; the two accumulator chains (v and v^2) interleave, so the
+  // serial dependency of one chain overlaps the other's arithmetic.
   NeumaierSum s, s2;
-  if (weighted == Weighted::kNone) {
-    for (std::size_t t = 0; t < n_; ++t) {
-      const double v = xs[t] - anchor_;
-      s.add(v);
-      s2.add(v * v);
-      cum_[t + 1] = s.value();
-      cum2_[t + 1] = s2.value();
-    }
-    return;
-  }
-
-  const bool quad = weighted == Weighted::kQuadratic;
-  wcum_.assign(n_ + 1, 0.0);
-  if (quad) w2cum_.assign(n_ + 1, 0.0);
-  NeumaierSum sw, sw2;
   for (std::size_t t = 0; t < n_; ++t) {
     const double v = xs[t] - anchor_;
-    const double ft = static_cast<double>(t);
     s.add(v);
     s2.add(v * v);
-    sw.add(ft * v);
     cum_[t + 1] = s.value();
     cum2_[t + 1] = s2.value();
-    wcum_[t + 1] = sw.value();
-    if (quad) {
-      sw2.add(ft * ft * v);
-      w2cum_[t + 1] = sw2.value();
-    }
   }
 }
 

@@ -1,5 +1,5 @@
 // Compensated prefix moments: the shared compute layer behind the
-// block/aggregation-based statistics (variance-time, R/S, KPSS, DFA,
+// block/aggregation-based statistics (variance-time, R/S, KPSS,
 // aggregated_variances).
 //
 // One O(n) pass builds Neumaier-compensated prefix sums of the
@@ -8,8 +8,7 @@
 // cumulative-deviation walk afterwards is an O(1) lookup. Centering first
 // keeps block variances stable when the mean dominates the fluctuations
 // (per-second counts with a large offset), which is exactly where naive
-// one-pass prefix variance formulas collapse. Optional weighted prefixes
-// (sum t*v_t, sum t^2*v_t) serve DFA's per-box polynomial fits.
+// one-pass prefix variance formulas collapse.
 //
 // Consumers treat a PrefixMoments as an immutable read-only view builder:
 // it does NOT copy or alias the input after construction, all state lives
@@ -50,14 +49,8 @@ struct MomentSummary {
 
 class PrefixMoments {
  public:
-  /// Highest-order index-weighted prefix to materialize alongside the plain
-  /// moments: kNone for block mean/variance queries only, kLinear adds
-  /// sum t*v_t (linear detrending), kQuadratic adds sum t^2*v_t.
-  enum class Weighted { kNone, kLinear, kQuadratic };
-
   PrefixMoments() = default;
-  explicit PrefixMoments(std::span<const double> xs,
-                         Weighted weighted = Weighted::kNone);
+  explicit PrefixMoments(std::span<const double> xs);
 
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
   /// Compensated mean of the whole series (0 when empty).
@@ -98,29 +91,15 @@ class PrefixMoments {
   }
 
   /// Centered prefix sum C_k = sum_{t < k} v_t; C_0 = 0, C_n ~= 0. Equal to
-  /// the KPSS partial sum S_k of the demeaned series and to the DFA profile
-  /// (profile[t] = centered_prefix(t + 1)).
+  /// the KPSS partial sum S_k of the demeaned series.
   [[nodiscard]] double centered_prefix(std::size_t k) const noexcept {
     assert(k <= n_);
     return cum_[k];
   }
   /// The whole centered cumulative-sum array, length size() + 1 ([0] = 0):
-  /// feeds minmax_prefix_walk and serves as a zero-copy DFA profile.
+  /// feeds minmax_prefix_walk.
   [[nodiscard]] std::span<const double> centered_cumsum() const noexcept {
     return cum_;
-  }
-
-  /// Sum of t * v_t over [i, j) (global index t). Requires kLinear+.
-  [[nodiscard]] double weighted_centered_sum(std::size_t i,
-                                             std::size_t j) const noexcept {
-    assert(i <= j && j <= n_ && !wcum_.empty());
-    return wcum_[j] - wcum_[i];
-  }
-  /// Sum of t^2 * v_t over [i, j). Requires kQuadratic.
-  [[nodiscard]] double weighted2_centered_sum(std::size_t i,
-                                              std::size_t j) const noexcept {
-    assert(i <= j && j <= n_ && !w2cum_.empty());
-    return w2cum_[j] - w2cum_[i];
   }
 
   /// Population variance of the m-aggregated series (block means of
@@ -149,8 +128,6 @@ class PrefixMoments {
   double anchor_ = 0.0;
   std::vector<double> cum_;    ///< prefix sums of v_t, length n + 1
   std::vector<double> cum2_;   ///< prefix sums of v_t^2, length n + 1
-  std::vector<double> wcum_;   ///< prefix sums of t * v_t (optional)
-  std::vector<double> w2cum_;  ///< prefix sums of t^2 * v_t (optional)
 };
 
 }  // namespace fullweb::stats

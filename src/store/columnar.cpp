@@ -8,6 +8,7 @@
 #include "store/columnar.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <unordered_set>
@@ -488,8 +489,14 @@ Result<DecodedTables> decode(const std::string& path, const std::uint8_t* data,
   for (const auto& r : t.requests) req_bytes += r.bytes;
   if (req_bytes != t.total_bytes)
     return parse_error(path, "total_bytes disagrees with request table");
-  if (!(t.t0 <= t.requests.front().time) || !(t.requests.back().time < t.t1))
-    return parse_error(path, "observation window excludes request times");
+  // The window must be the one every Dataset constructor derives from its
+  // finite request times, [floor(first), floor(last) + 1). A window that
+  // merely covers the times would pad the binned series with empty bins,
+  // or at +inf overflow its bin count.
+  if (!std::isfinite(t.t0) || !std::isfinite(t.t1) ||
+      t.t0 != std::floor(t.requests.front().time) ||
+      t.t1 != std::floor(t.requests.back().time) + 1.0)
+    return parse_error(path, "observation window disagrees with request times");
   std::unordered_set<std::uint32_t> clients;
   clients.reserve(t.requests.size());
   for (const auto& r : t.requests) clients.insert(r.client);

@@ -33,9 +33,9 @@
 // Reading memory-maps the file (falling back to a buffered read when mmap
 // is unavailable) and decodes with strict bounds checks: truncation, magic
 // or version mismatch, unknown/duplicate/missing columns, payload overruns
-// and totals that disagree with the header are all rejected as errors, not
-// UB. The Dataset member fn declarations live in weblog/dataset.h; link
-// fullweb_store to use them.
+// and totals or a window that disagree with the decoded tables are all
+// rejected as errors, not UB. The Dataset member fn declarations live in
+// weblog/dataset.h; link fullweb_store to use them.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <istream>
 
 #include "support/strings.h"
 #include "weblog/clf_scan.h"
@@ -582,19 +581,6 @@ std::string to_clf_line(const LogEntry& entry) {
   return client + " - - " + format_clf_timestamp(entry.timestamp) + " \"" +
          request + "\" " + std::to_string(entry.status) + " " +
          std::to_string(entry.bytes);
-}
-
-std::size_t parse_clf_stream(std::istream& is,
-                             const std::function<void(LogEntry&&)>& on_entry) {
-  std::size_t malformed = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (support::trim(line).empty()) continue;
-    auto e = parse_clf_line(line);
-    if (e.ok()) on_entry(std::move(e).value());
-    else ++malformed;
-  }
-  return malformed;
 }
 
 }  // namespace fullweb::weblog

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "timeseries/series.h"
-#include "weblog/streaming_sessionizer.h"
 
 namespace fullweb::weblog {
 
@@ -22,10 +21,24 @@ std::string to_string(Load load) {
   return "?";
 }
 
+namespace {
+
+/// The time invariant every constructor keeps: a NaN or infinite time would
+/// break the time sort's strict weak ordering, the [t0, t1) window and the
+/// binned series, so it is rejected rather than loaded.
+Error non_finite_time(std::size_t index) {
+  return Error::invalid_argument("Dataset: non-finite time at index " +
+                                 std::to_string(index));
+}
+
+}  // namespace
+
 Result<Dataset> Dataset::from_entries(std::string name,
                                       std::span<const LogEntry> entries,
                                       const SessionizerOptions& sessionizer) {
   if (entries.empty()) return Error::insufficient_data("Dataset: no entries");
+  for (std::size_t i = 0; i < entries.size(); ++i)
+    if (!std::isfinite(entries[i].timestamp)) return non_finite_time(i);
   Dataset ds;
   ds.name_ = std::move(name);
   ds.requests_.reserve(entries.size());
@@ -48,6 +61,8 @@ Result<Dataset> Dataset::from_requests(std::string name,
                                        std::vector<Request> requests,
                                        const SessionizerOptions& sessionizer) {
   if (requests.empty()) return Error::insufficient_data("Dataset: no requests");
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    if (!std::isfinite(requests[i].time)) return non_finite_time(i);
   Dataset ds;
   ds.name_ = std::move(name);
   ds.requests_ = std::move(requests);
@@ -119,8 +134,6 @@ Result<Dataset> Dataset::from_clf_stream(std::string name,
   // same entry sequence — and the compact Request is all we keep; the
   // zero-copy ClfRecord (whose views die with its parse chunk) is never
   // materialized into a LogEntry on this path.
-  bool sorted = true;
-  double prev_time = 0.0;
   auto on_record = [&](const ClfRecord& rec) {
     // A non-finite timestamp would poison everything downstream — the
     // time sort's strict weak ordering, t0/t1, the binned series — so the
@@ -140,14 +153,9 @@ Result<Dataset> Dataset::from_clf_stream(std::string name,
     const Request r{rec.timestamp, it->second,
                     static_cast<std::uint16_t>(std::clamp(rec.status, 0, 65535)),
                     rec.bytes};
-    // Negated comparison: mirror of the StreamingSessionizer NaN guard —
-    // kept even though NaN is filtered above, so the two unsorted
-    // detectors can never disagree.
-    if (!ds.requests_.empty() && !(r.time >= prev_time)) sorted = false;
-    prev_time = r.time;
     ds.requests_.push_back(r);
     // Keep feeding even after a sort violation: peak accounting stays
-    // meaningful and the flag decides whether the result is used.
+    // meaningful and saw_unsorted() decides whether the result is used.
     sessionizer.add(r);
   };
 
@@ -177,14 +185,15 @@ Result<Dataset> Dataset::from_clf_stream(std::string name,
 
   ds.distinct_clients_ = intern.size();
   rep.peak_open_sessions = overall_peak;
-  rep.sessionized_incrementally = sorted && !sessionizer.saw_unsorted();
+  rep.sessionized_incrementally = !sessionizer.saw_unsorted();
 
   ds.sort_requests_and_total();
   if (rep.sessionized_incrementally) {
     ds.sessions_ = sessionizer.finish();
   } else {
-    // Out-of-order entry stream: incremental eviction decisions are not
-    // trustworthy, so sessionize the (now sorted) table the batch way.
+    // Out-of-order entry stream (e.g. interleaved replica logs): the
+    // incremental eviction decisions are not trustworthy, so sessionize the
+    // now time-sorted table in one fresh pass.
     ds.sessions_ = sessionize(ds.requests_, options.sessionizer);
   }
   return ds;

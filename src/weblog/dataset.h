@@ -34,8 +34,9 @@ struct StreamIngestReport {
   /// time sort and the [t0, t1) range); 0 on parser-produced streams.
   std::size_t invalid_time = 0;
   /// True when the concatenated entry stream was non-decreasing in time and
-  /// the bounded-memory incremental sessionizer was used; false means the
-  /// input was out of order and sessionization fell back to the batch path
+  /// the sessions come from the pass that ran alongside parsing; false
+  /// means the input was out of order (e.g. replica logs that interleave in
+  /// time) and the sorted request table was sessionized again afterwards
   /// (results are identical either way).
   bool sessionized_incrementally = false;
 };
@@ -57,32 +58,38 @@ class Dataset {
  public:
   /// Build from parsed log entries: interns client strings, sorts by time,
   /// and sessionizes with the given threshold. The observation window is
-  /// [floor(min time), ceil(max time)) unless explicitly provided.
-  /// Errors on an empty entry list.
+  /// [floor(min time), floor(max time) + 1) — the window every constructor
+  /// derives. Errors on an empty entry list (insufficient_data) and on a
+  /// NaN or infinite timestamp (invalid_argument naming the first one).
   static support::Result<Dataset> from_entries(
       std::string name, std::span<const LogEntry> entries,
       const SessionizerOptions& sessionizer = {});
 
-  /// Build directly from pre-interned requests (the synthetic path).
+  /// Build directly from pre-interned requests (the synthetic path). Same
+  /// window and errors as from_entries.
   static support::Result<Dataset> from_requests(
       std::string name, std::vector<Request> requests,
       const SessionizerOptions& sessionizer = {});
 
-  /// Streaming ingest: read CLF files chunk-by-chunk (parsed in parallel on
-  /// the executor in options.reader), interning clients and sessionizing
-  /// incrementally, so peak transient memory is O(chunk budget + open
-  /// sessions + the compact request table) — the raw text and LogEntry
-  /// strings are never all resident. Produces request and session tables
-  /// bit-identical to parsing the same files in order and calling
-  /// from_entries(), at any thread count.
+  /// Streaming ingest — the one way CLF text becomes a Dataset: read CLF
+  /// files chunk-by-chunk (parsed in parallel on the executor in
+  /// options.reader), interning clients and sessionizing incrementally, so
+  /// peak transient memory is O(chunk budget + open sessions + the compact
+  /// request table) — the raw text and LogEntry strings are never all
+  /// resident. Produces request and session tables bit-identical to parsing
+  /// the same files in order and calling from_entries(), at any thread
+  /// count.
   ///
-  /// Paths are processed sequentially (concatenation order); logs from
-  /// redundant replicas that interleave in time still ingest correctly
-  /// (the sessionizer falls back to the batch path on out-of-order input)
-  /// but client-id assignment follows concatenation order, unlike
-  /// merge_clf_files + from_entries which interns in merged time order.
-  /// Unreadable files are recorded in the report (open_failed) rather than
-  /// failing the ingest; errors only when no file yields any entry.
+  /// Paths are processed sequentially (concatenation order). Passing the
+  /// logs of redundant replicas whose lines interleave in time is Figure
+  /// 1's merge step: their concatenation is out of time order, so the
+  /// time-sorted request table is sessionized again in one fresh pass, and
+  /// a client alternating between replicas forms one session.
+  /// Client ids follow first appearance in file order, not merged time
+  /// order; requests from different files that share a timestamp keep no
+  /// particular relative order. Unreadable files are recorded in the
+  /// report (open_failed) rather than failing the ingest; errors only when
+  /// no file yields any entry.
   static support::Result<Dataset> from_clf_stream(
       std::string name, std::span<const std::string> paths,
       const StreamIngestOptions& options = {},

@@ -15,7 +15,7 @@
 #include "support/rng.h"
 #include "tail/hill.h"
 #include "tail/llcd.h"
-#include "weblog/streaming_sessionizer.h"
+#include "weblog/sessionizer.h"
 
 namespace {
 

@@ -3,7 +3,10 @@
 // on real logs, and verifies the text round-trip loses nothing.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/stationary.h"
 #include "core/tail_analysis.h"
@@ -27,26 +30,25 @@ TEST(EndToEnd, ClfTextRoundTripPreservesAnalysisInputs) {
   // Emit as CLF text.
   support::Rng rng2(2);
   const auto entries = synth::to_log_entries(workload.value(), rng2);
-  std::ostringstream log_text;
-  for (const auto& e : entries) log_text << weblog::to_clf_line(e) << '\n';
+  const std::string path = "/tmp/fullweb_endtoend_roundtrip.log";
+  {
+    std::ofstream log_text(path, std::ios::binary);
+    for (const auto& e : entries) log_text << weblog::to_clf_line(e) << '\n';
+  }
 
-  // Parse it back.
-  std::istringstream is(log_text.str());
-  std::vector<weblog::LogEntry> parsed;
-  const std::size_t malformed =
-      weblog::parse_clf_stream(is, [&](weblog::LogEntry&& e) {
-        parsed.push_back(std::move(e));
-      });
-  EXPECT_EQ(malformed, 0U);
-  ASSERT_EQ(parsed.size(), entries.size());
-
-  // Build datasets from both paths; they must agree on every statistic the
-  // analyses consume.
+  // Ingest it back through the CLF path, and build the other dataset
+  // directly; they must agree on every statistic the analyses consume.
+  const std::vector<std::string> paths = {path};
+  weblog::StreamIngestReport report;
+  auto via_text = weblog::Dataset::from_clf_stream("text", paths, {}, &report);
+  std::remove(path.c_str());
+  ASSERT_TRUE(via_text.ok());
+  ASSERT_EQ(report.files.size(), 1U);
+  EXPECT_EQ(report.files[0].malformed, 0U);
+  ASSERT_EQ(report.files[0].parsed, entries.size());
   auto direct = weblog::Dataset::from_requests(
       "direct", std::move(workload.value().requests));
-  auto via_text = weblog::Dataset::from_entries("text", parsed);
   ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(via_text.ok());
 
   EXPECT_EQ(direct.value().requests().size(), via_text.value().requests().size());
   EXPECT_EQ(direct.value().sessions().size(), via_text.value().sessions().size());

@@ -120,28 +120,6 @@ TEST(PrefixMoments, EmbeddedConstantBlockVarianceIsTinyNonNegative) {
   EXPECT_LE(v, 1e-9);
 }
 
-TEST(PrefixMoments, WeightedPrefixesMatchNaive) {
-  const auto xs = random_series(150, 55);
-  const stats::PrefixMoments pm(xs, stats::PrefixMoments::Weighted::kQuadratic);
-  const double anchor = pm.anchor();
-  support::Rng rng(66);
-  for (int rep = 0; rep < 100; ++rep) {
-    std::size_t i = rng.below(xs.size());
-    std::size_t j = rng.below(xs.size() + 1);
-    if (i > j) std::swap(i, j);
-    long double w = 0.0L, w2 = 0.0L;
-    for (std::size_t t = i; t < j; ++t) {
-      const long double v = static_cast<long double>(xs[t]) - anchor;
-      w += static_cast<long double>(t) * v;
-      w2 += static_cast<long double>(t) * static_cast<long double>(t) * v;
-    }
-    EXPECT_NEAR(pm.weighted_centered_sum(i, j), static_cast<double>(w),
-                1e-8 + 1e-10 * std::abs(static_cast<double>(w)));
-    EXPECT_NEAR(pm.weighted2_centered_sum(i, j), static_cast<double>(w2),
-                1e-6 + 1e-10 * std::abs(static_cast<double>(w2)));
-  }
-}
-
 TEST(MomentSummary, OfMatchesNaiveAndPrefixMoments) {
   const auto xs = random_series(513, 77);
   const auto s = stats::MomentSummary::of(xs);

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -222,6 +223,38 @@ TEST_F(StoreColumnarCorruption, RejectsTamperedTotals) {
   b = bytes_;
   b[48] ^= 0x01;  // distinct_clients
   expect_rejected(b, "tampered distinct_clients");
+}
+
+// Regression: the reader only checked that [t0, t1) covered the request
+// times, so a widened window loaded fine — t1 = +inf then overflowed the
+// per-second bin count, and a finite wide t1 padded the series with empty
+// bins. The header must carry the window every constructor derives.
+TEST_F(StoreColumnarCorruption, RejectsWindowThatDisagreesWithRequestTimes) {
+  auto f64_at = [&](std::size_t offset) {
+    std::uint64_t bits = 0;
+    for (int i = 0; i < 8; ++i)
+      bits |= std::uint64_t{bytes_[offset + i]} << (8 * i);
+    double value;
+    std::memcpy(&value, &bits, sizeof value);
+    return value;
+  };
+  auto patched = [&](std::size_t offset, double value) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof bits);
+    auto b = bytes_;
+    for (int i = 0; i < 8; ++i)
+      b[offset + i] = static_cast<std::uint8_t>(bits >> (8 * i));
+    return b;
+  };
+  // t0 at offset 24 and t1 at 32 (4+4+8+8); requests span 1000..1299 s.
+  ASSERT_EQ(f64_at(24), 1000.0);
+  ASSERT_EQ(f64_at(32), 1300.0);
+  for (const double t1 : {std::numeric_limits<double>::infinity(), 1e300,
+                          5e6, 1301.0, 1299.5})
+    expect_rejected(patched(32, t1), "t1 = " + std::to_string(t1));
+  for (const double t0 : {-std::numeric_limits<double>::infinity(), 0.0,
+                          999.0, 999.5})
+    expect_rejected(patched(24, t0), "t0 = " + std::to_string(t0));
 }
 
 TEST_F(StoreColumnarCorruption, RejectsUnknownColumnId) {

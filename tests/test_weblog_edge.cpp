@@ -2,13 +2,15 @@
 // paper's NA/NS cases must degrade gracefully, never crash.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/tail_analysis.h"
 #include "weblog/clf.h"
+#include "weblog/clf_reader.h"
 #include "weblog/dataset.h"
 #include "weblog/sessionizer.h"
 
@@ -68,6 +70,31 @@ TEST(DatasetEdge, InterleavedSessionWindowsCounted) {
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds.value().session_lengths(0.0, 200.0).size(), 2U);
   EXPECT_EQ(ds.value().session_lengths(200.0, 5000.0).size(), 0U);
+}
+
+// Every constructor keeps the same time invariant as from_clf_stream: a NaN
+// or infinite time is refused (a +inf time used to give t1() = inf, and a
+// NaN loaded as a session of its own).
+TEST(DatasetEdge, NonFiniteTimesRejectedByInMemoryConstructors) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const auto from_entries = Dataset::from_entries(
+        "bad", std::vector<LogEntry>{entry(10, "a", 1), entry(bad, "b", 1),
+                                     entry(20, "c", 1)});
+    ASSERT_FALSE(from_entries.ok()) << bad;
+    EXPECT_EQ(from_entries.error().category, "invalid_argument");
+    EXPECT_NE(from_entries.error().message.find("index 1"), std::string::npos)
+        << from_entries.error().message;
+
+    const auto from_requests = Dataset::from_requests(
+        "bad", std::vector<Request>{{10, 0, 200, 1}, {20, 1, 200, 1},
+                                    {bad, 2, 200, 1}});
+    ASSERT_FALSE(from_requests.ok()) << bad;
+    EXPECT_EQ(from_requests.error().category, "invalid_argument");
+    EXPECT_NE(from_requests.error().message.find("index 2"), std::string::npos)
+        << from_requests.error().message;
+  }
 }
 
 TEST(SessionizerEdge, ManyClientsOneRequestEach) {
@@ -153,13 +180,19 @@ TEST(TailAnalysisEdge, MixedZeroAndPositive) {
 
 TEST(ClfEdge, CarriageReturnLineEndings) {
   // Windows-style CRLF logs must parse: trailing \r is whitespace.
-  std::istringstream is(
-      "10.0.0.1 - - [12/Jan/2004:08:30:00 +0000] \"GET /a HTTP/1.0\" 200 1\r\n"
-      "10.0.0.2 - - [12/Jan/2004:08:30:01 +0000] \"GET /b HTTP/1.0\" 200 2\r\n");
+  const std::string path = "/tmp/fullweb_edge_crlf.log";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << "10.0.0.1 - - [12/Jan/2004:08:30:00 +0000] \"GET /a HTTP/1.0\" 200 1\r\n"
+          "10.0.0.2 - - [12/Jan/2004:08:30:01 +0000] \"GET /b HTTP/1.0\" 200 2\r\n";
+  }
   std::vector<LogEntry> entries;
-  const std::size_t bad =
-      parse_clf_stream(is, [&](LogEntry&& e) { entries.push_back(std::move(e)); });
-  EXPECT_EQ(bad, 0U);
+  const auto stats = read_clf_records(path, {}, [&](const ClfRecord& r) {
+    entries.push_back(ClfLineParser::materialize(r));
+  });
+  std::remove(path.c_str());
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats.value().malformed, 0U);
   ASSERT_EQ(entries.size(), 2U);
   EXPECT_EQ(entries[1].bytes, 2U);
 }

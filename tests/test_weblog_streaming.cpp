@@ -1,12 +1,17 @@
 // Streaming ingest subsystem: chunked parallel CLF reader, incremental
-// sessionizer, and Dataset::from_clf_stream — pinned bit-identical to the
-// batch path at every thread count, with memory bounded by open sessions.
+// sessionizer, and Dataset::from_clf_stream — pinned bit-identical to a
+// serial reference ingest at every thread count, with memory bounded by
+// open sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "support/executor.h"
@@ -15,8 +20,7 @@
 #include "weblog/clf.h"
 #include "weblog/clf_reader.h"
 #include "weblog/dataset.h"
-#include "weblog/merge.h"
-#include "weblog/streaming_sessionizer.h"
+#include "weblog/sessionizer.h"
 
 namespace fullweb::weblog {
 namespace {
@@ -43,6 +47,35 @@ void expect_identical(const Dataset& a, const Dataset& b) {
   EXPECT_DOUBLE_EQ(a.t1(), b.t1());
   EXPECT_EQ(a.total_bytes(), b.total_bytes());
   EXPECT_EQ(a.distinct_clients(), b.distinct_clients());
+}
+
+/// Serial reference ingest: std::getline + parse_clf_line over each file in
+/// order. Fed to from_entries, it is the table from_clf_stream must match
+/// bit for bit.
+std::vector<LogEntry> parse_serially(const std::vector<std::string>& paths) {
+  std::vector<LogEntry> entries;
+  for (const auto& path : paths) {
+    std::ifstream is(path);
+    std::string line;
+    while (std::getline(is, line)) {
+      auto e = parse_clf_line(line);
+      if (e.ok()) entries.push_back(std::move(e).value());
+    }
+  }
+  return entries;
+}
+
+/// Every record read_clf_records delivers, as owning entries.
+std::vector<LogEntry> read_entries(const std::string& path,
+                                   const ClfReaderOptions& opts,
+                                   IngestStats* stats = nullptr) {
+  std::vector<LogEntry> entries;
+  auto r = read_clf_records(path, opts, [&](const ClfRecord& rec) {
+    entries.push_back(ClfLineParser::materialize(rec));
+  });
+  EXPECT_TRUE(r.ok());
+  if (r.ok() && stats != nullptr) *stats = r.value();
+  return entries;
 }
 
 class StreamingIngestTest : public ::testing::Test {
@@ -89,12 +122,10 @@ TEST_F(StreamingIngestTest, ReaderDeliversFileOrderAtAnyThreadCount) {
     ClfReaderOptions opts;
     opts.chunk_bytes = chunk;
     opts.executor = &ex;
-    std::vector<LogEntry> entries;
-    auto stats = read_clf_file(path, opts,
-                               [&](LogEntry&& e) { entries.push_back(std::move(e)); });
-    EXPECT_TRUE(stats.ok());
-    EXPECT_GT(stats.value().chunks, 1U);
-    EXPECT_EQ(stats.value().parsed, entries.size());
+    IngestStats stats;
+    auto entries = read_entries(path, opts, &stats);
+    EXPECT_GT(stats.chunks, 1U);
+    EXPECT_EQ(stats.parsed, entries.size());
     return entries;
   };
 
@@ -115,11 +146,8 @@ TEST_F(StreamingIngestTest, ReaderDeliversFileOrderAtAnyThreadCount) {
 TEST_F(StreamingIngestTest, FromClfStreamBitIdenticalToBatch) {
   const std::string path = write_synthetic("bitident", 6 * 3600.0, 0.15);
 
-  // Batch reference: parse the file in order, then from_entries.
-  std::ifstream is(path);
-  std::vector<LogEntry> entries;
-  parse_clf_stream(is, [&](LogEntry&& e) { entries.push_back(std::move(e)); });
-  auto batch = Dataset::from_entries("batch", entries);
+  // Serial reference: parse the file in order, then from_entries.
+  auto batch = Dataset::from_entries("batch", parse_serially({path}));
   ASSERT_TRUE(batch.ok());
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -193,7 +221,8 @@ TEST_F(StreamingIngestTest, MalformedLinesCountedByReason) {
 
   ClfReaderOptions opts;
   std::size_t delivered = 0;
-  auto stats = read_clf_file(path, opts, [&](LogEntry&&) { ++delivered; });
+  auto stats =
+      read_clf_records(path, opts, [&](const ClfRecord&) { ++delivered; });
   ASSERT_TRUE(stats.ok());
   const IngestStats& s = stats.value();
   EXPECT_EQ(delivered, 2U);
@@ -231,10 +260,7 @@ TEST_F(StreamingIngestTest, UnsortedInputFallsBackToBatchSessionization) {
   ASSERT_TRUE(stream.ok());
   EXPECT_FALSE(report.sessionized_incrementally);
 
-  std::ifstream is(path);
-  std::vector<LogEntry> entries;
-  parse_clf_stream(is, [&](LogEntry&& ent) { entries.push_back(std::move(ent)); });
-  auto batch = Dataset::from_entries("b", entries);
+  auto batch = Dataset::from_entries("b", parse_serially({path}));
   ASSERT_TRUE(batch.ok());
   expect_identical(batch.value(), stream.value());
 }
@@ -255,13 +281,124 @@ TEST_F(StreamingIngestTest, OpenFailureRecordedPerFile) {
   EXPECT_FALSE(Dataset::from_clf_stream("none", all_bad).ok());
 }
 
+TEST_F(StreamingIngestTest, EmptyReadableFileIsNotAnOpenFailure) {
+  const std::string empty = write_file("empty", {});
+  const std::string good = write_file(
+      "after_empty",
+      {"10.0.0.1 - - [12/Jan/2004:08:30:00 +0000] \"GET /a HTTP/1.0\" 200 1"});
+  const std::vector<std::string> paths = {empty, good};
+  StreamIngestReport report;
+  auto ds = Dataset::from_clf_stream("empty", paths, {}, &report);
+  ASSERT_TRUE(ds.ok());
+  ASSERT_EQ(report.files.size(), 2U);
+  EXPECT_FALSE(report.files[0].open_failed);
+  EXPECT_EQ(report.files[0].lines, 0U);
+  EXPECT_EQ(report.files[0].parsed, 0U);
+  EXPECT_EQ(report.files[1].parsed, 1U);
+}
+
+// Figure 1's merge step through the one ingest path: redundant replicas each
+// log the requests they served, so their lines interleave in time. Both
+// files together must give what one time-ordered log of the same lines
+// gives, except for client ids, which follow first appearance in file order.
+TEST_F(StreamingIngestTest, InterleavedReplicaLogsMergeLikeOneTimeOrderedFile) {
+  support::Rng rng(42);
+  synth::GeneratorOptions gen;
+  gen.duration = 3 * 3600.0;
+  gen.scale = 0.1;
+  auto workload =
+      synth::generate_workload(synth::ServerProfile::clarknet(), gen, rng);
+  ASSERT_TRUE(workload.ok());
+  support::Rng rng2(43);
+  const auto traffic = synth::to_log_entries(workload.value(), rng2);
+  ASSERT_GT(traffic.size(), 100U);
+
+  // One client alternates between the replicas once a minute, starting one
+  // second before the rest of the traffic: first line of replica A and of
+  // the merged log, so it is client 0 in both datasets. Each replica alone
+  // would give it a 5-request session; merged it has one of 10.
+  LogEntry alt;
+  alt.client = "192.0.2.1";
+  alt.method = "GET";
+  alt.path = "/alt";
+  alt.protocol = "HTTP/1.0";
+  alt.status = 200;
+  alt.bytes = 4321;
+  const double alt_start = std::floor(traffic.front().timestamp) - 1.0;
+  std::vector<std::string> lines_a, lines_b, lines_merged;
+  std::vector<std::pair<double, std::string>> by_time;
+  for (int k = 0; k < 10; ++k) {
+    alt.timestamp = alt_start + 60.0 * k;
+    const std::string line = to_clf_line(alt);
+    (k % 2 == 0 ? lines_a : lines_b).push_back(line);
+    by_time.emplace_back(alt.timestamp, line);
+  }
+  for (const auto& e : traffic) {
+    const std::string line = to_clf_line(e);
+    (rng2.below(2) == 0 ? lines_a : lines_b).push_back(line);
+    by_time.emplace_back(e.timestamp, line);
+  }
+  std::stable_sort(by_time.begin(), by_time.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (const auto& [t, line] : by_time) lines_merged.push_back(line);
+  const std::vector<std::string> pair_paths = {
+      write_file("replica_a", lines_a), write_file("replica_b", lines_b)};
+  const std::vector<std::string> merged_path = {
+      write_file("replica_merged", lines_merged)};
+
+  StreamIngestReport pair_report, merged_report;
+  auto pair = Dataset::from_clf_stream("pair", pair_paths, {}, &pair_report);
+  auto merged =
+      Dataset::from_clf_stream("merged", merged_path, {}, &merged_report);
+  ASSERT_TRUE(pair.ok());
+  ASSERT_TRUE(merged.ok());
+  EXPECT_FALSE(pair_report.sessionized_incrementally);
+  EXPECT_TRUE(merged_report.sessionized_incrementally);
+  ASSERT_EQ(pair_report.files.size(), 2U);
+  EXPECT_EQ(pair_report.files[0].parsed, lines_a.size());
+  EXPECT_EQ(pair_report.files[1].parsed, lines_b.size());
+
+  for (const Dataset* ds : {&pair.value(), &merged.value()}) {
+    std::vector<Session> alt_sessions;
+    for (const auto& s : ds->sessions())
+      if (s.client == 0) alt_sessions.push_back(s);
+    ASSERT_EQ(alt_sessions.size(), 1U) << ds->name();
+    EXPECT_EQ(alt_sessions[0].start, alt_start);
+    EXPECT_EQ(alt_sessions[0].end, alt_start + 540.0);
+    EXPECT_EQ(alt_sessions[0].requests, 10U);
+  }
+
+  const Dataset& p = pair.value();
+  const Dataset& m = merged.value();
+  EXPECT_EQ(p.request_times(), m.request_times());
+  EXPECT_EQ(p.total_bytes(), m.total_bytes());
+  EXPECT_EQ(p.t0(), m.t0());
+  EXPECT_EQ(p.t1(), m.t1());
+  EXPECT_EQ(p.distinct_clients(), m.distinct_clients());
+  // Requests that share a second may sit in either order, so compare the
+  // (time, bytes) multisets, and sessions without their client ids.
+  auto time_bytes = [](const Dataset& ds) {
+    std::vector<std::pair<double, std::uint64_t>> out;
+    for (const auto& r : ds.requests()) out.emplace_back(r.time, r.bytes);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(time_bytes(p), time_bytes(m));
+  auto session_rows = [](const Dataset& ds) {
+    std::vector<std::tuple<double, double, std::uint64_t, std::uint64_t>> out;
+    for (const auto& s : ds.sessions())
+      out.emplace_back(s.start, s.end, s.requests, s.bytes);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(session_rows(p), session_rows(m));
+}
+
 TEST_F(StreamingIngestTest, MultiFileConcatenationMatchesSequentialBatch) {
   const std::string a = write_synthetic("multi_a", 2 * 3600.0, 0.1);
-  // Second file continues after the first (replica merge is merge_clf_files'
-  // job; the stream path is the concatenation contract).
-  std::ifstream ia(a);
-  std::vector<LogEntry> entries;
-  parse_clf_stream(ia, [&](LogEntry&& e) { entries.push_back(std::move(e)); });
+  // Second file continues after the first: the concatenation contract
+  // (InterleavedReplicaLogsMergeLikeOneTimeOrderedFile covers replicas).
+  std::vector<LogEntry> entries = parse_serially({a});
   double last = entries.back().timestamp;
   std::vector<std::string> lines;
   LogEntry e;
@@ -303,12 +440,10 @@ TEST_F(StreamingIngestTest, MissingTrailingNewlineAndCrlfHandled) {
   }
   files_.push_back(path);
 
-  std::vector<LogEntry> entries;
-  auto stats = read_clf_file(path, {},
-                             [&](LogEntry&& e) { entries.push_back(std::move(e)); });
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().parsed, 2U);
-  EXPECT_EQ(stats.value().malformed, 0U);
+  IngestStats stats;
+  const auto entries = read_entries(path, {}, &stats);
+  EXPECT_EQ(stats.parsed, 2U);
+  EXPECT_EQ(stats.malformed, 0U);
   ASSERT_EQ(entries.size(), 2U);
   EXPECT_EQ(entries[1].bytes, 2U);
 }
@@ -324,6 +459,28 @@ Request req(double time, std::uint32_t client, std::uint64_t bytes = 100) {
   return r;
 }
 
+/// The threshold rule written out per client: sort by (client, time), split
+/// where a gap exceeds the threshold. The executable spec the one
+/// sessionizer is checked against, so it is never compared with itself.
+std::vector<Session> per_client_sessions(std::vector<Request> rs,
+                                         const SessionizerOptions& opts) {
+  std::sort(rs.begin(), rs.end(), [](const Request& a, const Request& b) {
+    if (a.client != b.client) return a.client < b.client;
+    return a.time < b.time;
+  });
+  std::vector<Session> out;
+  for (const Request& r : rs) {
+    if (out.empty() || out.back().client != r.client ||
+        r.time - out.back().end > opts.threshold_seconds)
+      out.push_back(Session{r.client, r.time, r.time, 0, 0});
+    out.back().end = r.time;
+    out.back().requests += 1;
+    out.back().bytes += r.bytes;
+  }
+  std::sort(out.begin(), out.end(), session_order);
+  return out;
+}
+
 TEST(StreamingSessionizer, MatchesBatchOnRandomizedSortedTraces) {
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     for (const double threshold : {30.0, 300.0, 1800.0}) {
@@ -333,24 +490,31 @@ TEST(StreamingSessionizer, MatchesBatchOnRandomizedSortedTraces) {
         rs.push_back(req(rng.uniform(0.0, 86400.0),
                          static_cast<std::uint32_t>(rng.below(150)),
                          rng.below(5000)));
-      std::sort(rs.begin(), rs.end(),
-                [](const Request& a, const Request& b) { return a.time < b.time; });
 
       SessionizerOptions opts;
       opts.threshold_seconds = threshold;
-      const auto batch = sessionize(rs, opts);
+      const auto expected = per_client_sessions(rs, opts);
+      // sessionize() on the unsorted trace takes its copy-and-sort path.
+      const auto via_sessionize = sessionize(rs, opts);
 
+      std::sort(rs.begin(), rs.end(),
+                [](const Request& a, const Request& b) { return a.time < b.time; });
       StreamingSessionizer ss(opts);
       for (const auto& r : rs) ss.add(r);
       EXPECT_FALSE(ss.saw_unsorted());
       EXPECT_LE(ss.peak_open_sessions(), 150U);
       const auto streamed = ss.finish();
 
-      ASSERT_EQ(batch.size(), streamed.size())
+      ASSERT_EQ(expected.size(), streamed.size())
           << "seed=" << seed << " threshold=" << threshold;
-      for (std::size_t i = 0; i < batch.size(); ++i)
-        ASSERT_TRUE(same_session(batch[i], streamed[i]))
+      ASSERT_EQ(expected.size(), via_sessionize.size())
+          << "seed=" << seed << " threshold=" << threshold;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_TRUE(same_session(expected[i], streamed[i]))
             << "seed=" << seed << " threshold=" << threshold << " i=" << i;
+        ASSERT_TRUE(same_session(expected[i], via_sessionize[i]))
+            << "seed=" << seed << " threshold=" << threshold << " i=" << i;
+      }
     }
   }
 }
@@ -363,7 +527,7 @@ TEST(StreamingSessionizer, TakeClosedDrainsWithoutChangingTheTable) {
 
   SessionizerOptions opts;
   opts.threshold_seconds = 50.0;
-  const auto batch = sessionize(rs, opts);
+  const auto expected = per_client_sessions(rs, opts);
 
   StreamingSessionizer ss(opts);
   std::vector<Session> drained;
@@ -376,9 +540,9 @@ TEST(StreamingSessionizer, TakeClosedDrainsWithoutChangingTheTable) {
   }
   for (auto& s : ss.finish()) drained.push_back(s);
   std::sort(drained.begin(), drained.end(), session_order);
-  ASSERT_EQ(drained.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    ASSERT_TRUE(same_session(batch[i], drained[i])) << i;
+  ASSERT_EQ(drained.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    ASSERT_TRUE(same_session(expected[i], drained[i])) << i;
 }
 
 TEST(StreamingSessionizer, FlagsOutOfOrderInput) {
@@ -491,7 +655,7 @@ TEST(IngestStatsSummary, IncludesPathAndEarlyReturnsOnOpenFailure) {
   EXPECT_EQ(failed.summary(), "/gone.log: OPEN FAILED");
 }
 
-// An on_entry callback that throws mid-drain must not abandon queued parse
+// An on_record callback that throws mid-drain must not abandon queued parse
 // tasks: the reader's scope guard drains (discarding results) so the
 // executor is quiescent and reusable after the exception escapes.
 TEST_F(StreamingIngestTest, ThrowingCallbackLeavesExecutorReusable) {
@@ -502,8 +666,8 @@ TEST_F(StreamingIngestTest, ThrowingCallbackLeavesExecutorReusable) {
   opts.executor = &ex;
 
   std::size_t clean_count = 0;
-  auto clean = read_clf_file(path, opts,
-                             [&](LogEntry&&) { ++clean_count; });
+  auto clean = read_clf_records(path, opts,
+                                [&](const ClfRecord&) { ++clean_count; });
   ASSERT_TRUE(clean.ok());
   ASSERT_GT(clean.value().chunks, 4U);
 
@@ -513,7 +677,7 @@ TEST_F(StreamingIngestTest, ThrowingCallbackLeavesExecutorReusable) {
   std::size_t seen = 0;
   EXPECT_THROW(
       {
-        auto r = read_clf_file(path, opts, [&](LogEntry&&) {
+        auto r = read_clf_records(path, opts, [&](const ClfRecord&) {
           if (++seen == 10) throw Boom();
         });
         (void)r;
@@ -523,8 +687,8 @@ TEST_F(StreamingIngestTest, ThrowingCallbackLeavesExecutorReusable) {
 
   // The pool must still work and deliver identical results afterwards.
   std::size_t after_count = 0;
-  auto after = read_clf_file(path, opts,
-                             [&](LogEntry&&) { ++after_count; });
+  auto after = read_clf_records(path, opts,
+                                [&](const ClfRecord&) { ++after_count; });
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after_count, clean_count);
   EXPECT_EQ(after.value().parsed, clean.value().parsed);
