@@ -1,6 +1,7 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -77,6 +78,12 @@ void print_header(const std::string& title, const std::string& paper_ref,
               static_cast<unsigned long long>(ctx.seed),
               support::Executor::global().threads());
   std::printf("================================================================\n\n");
+}
+
+double now_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 std::string fmt(double v, int digits) { return support::format_sig(v, digits); }

@@ -6,6 +6,7 @@
 // from their outputs directly.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,23 @@ std::vector<weblog::Dataset> generate_all_servers(const BenchContext& ctx);
 /// Print the standard bench header with reproduction context.
 void print_header(const std::string& title, const std::string& paper_ref,
                   const BenchContext& ctx);
+
+/// Steady-clock seconds since an arbitrary epoch, for wall-clock timing.
+double now_seconds();
+
+/// Median-of-reps wall time for one call.
+template <typename Fn>
+double time_reps(std::size_t reps, Fn&& fn) {
+  std::vector<double> times;
+  times.reserve(reps);
+  for (std::size_t i = 0; i < reps; ++i) {
+    const double start = now_seconds();
+    fn();
+    times.push_back(now_seconds() - start);
+  }
+  std::sort(times.begin(), times.end());
+  return times[times.size() / 2];
+}
 
 /// Format helpers for table cells.
 std::string fmt(double v, int digits = 3);

@@ -14,13 +14,12 @@
 //
 //   bench_fleet --json-out BENCH_fleet.json
 //   bench_compare --min-speedup 3 --name columnar BENCH_fleet.json
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/fleet.h"
 #include "store/columnar.h"
 #include "support/cli.h"
@@ -36,25 +35,7 @@ namespace {
 
 using namespace fullweb;
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Median-of-reps wall time for one call.
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  std::vector<double> times;
-  times.reserve(reps);
-  for (std::size_t i = 0; i < reps; ++i) {
-    const double start = now_seconds();
-    fn();
-    times.push_back(now_seconds() - start);
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
+using bench::time_reps;
 
 std::vector<weblog::Dataset> synthetic_fleet(std::size_t shards, double hours,
                                              double scale) {
@@ -228,10 +209,7 @@ int main(int argc, char** argv) {
       w.field("real_time", r.seconds * 1e9);
       w.field("time_unit", "ns");
       w.field("items_per_second", r.items_per_second);
-      if (r.speedup > 0.0) {
-        w.field("speedup", r.speedup);
-        w.field("speedup_source", "measured");
-      }
+      if (r.speedup > 0.0) w.field("speedup", r.speedup);
       w.end_object();
     }
     w.end_array();

@@ -22,16 +22,14 @@
 // (CLF ingest + fit + validation). Output is bench_compare-compatible JSON:
 //
 //   bench_fullscale --scale 1.0 --json-out BENCH_fullscale.json
-//   bench_compare --min-speedup 2 --name parse_fast_vs_reference \
-//       BENCH_fullscale.json
-#include <algorithm>
-#include <chrono>
+//   bench_compare --min-speedup 2 --name parse_fast BENCH_fullscale.json
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/fullweb_model.h"
 #include "support/cli.h"
 #include "support/executor.h"
@@ -48,25 +46,8 @@ namespace {
 
 using namespace fullweb;
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Median-of-reps wall time for one call.
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  std::vector<double> times;
-  times.reserve(reps);
-  for (std::size_t i = 0; i < reps; ++i) {
-    const double start = now_seconds();
-    fn();
-    times.push_back(now_seconds() - start);
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
+using bench::now_seconds;
+using bench::time_reps;
 
 struct BenchRow {
   std::string name;
@@ -314,10 +295,7 @@ int main(int argc, char** argv) {
       w.field("real_time", r.seconds * 1e9);
       w.field("time_unit", "ns");
       w.field("items_per_second", r.items_per_second);
-      if (r.speedup > 0.0) {
-        w.field("speedup", r.speedup);
-        w.field("speedup_source", "measured");
-      }
+      if (r.speedup > 0.0) w.field("speedup", r.speedup);
       w.end_object();
     }
     w.end_array();

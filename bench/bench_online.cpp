@@ -20,7 +20,6 @@
 //   bench_online --json-out BENCH_online.json
 //   bench_compare --min-speedup 2 --name online_vs_batch BENCH_online.json
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -28,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "lrd/variance_time.h"
 #include "online/analyzer.h"
 #include "online/frs_memory.h"
@@ -45,25 +45,7 @@ namespace {
 
 using namespace fullweb;
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Median-of-reps wall time for one call.
-template <typename Fn>
-double time_reps(std::size_t reps, Fn&& fn) {
-  std::vector<double> times;
-  times.reserve(reps);
-  for (std::size_t i = 0; i < reps; ++i) {
-    const double start = now_seconds();
-    fn();
-    times.push_back(now_seconds() - start);
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
+using bench::time_reps;
 
 struct BenchRow {
   std::string name;
@@ -229,10 +211,7 @@ int main(int argc, char** argv) {
       w.field("real_time", r.seconds * 1e9);
       w.field("time_unit", "ns");
       w.field("items_per_second", r.items_per_second);
-      if (r.speedup > 0.0) {
-        w.field("speedup", r.speedup);
-        w.field("speedup_source", "measured");
-      }
+      if (r.speedup > 0.0) w.field("speedup", r.speedup);
       w.end_object();
     }
     w.end_array();

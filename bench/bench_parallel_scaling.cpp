@@ -1,32 +1,33 @@
-// Parallel-scaling driver: end-to-end FullWebModel fit at 1..N threads.
+// Parallel-scaling bench: the end-to-end FullWebModel fit, measured at
+// several thread counts.
 //
-// Reports per-stage and total wall-clock for the serial run and for each
-// thread count, the resulting speedup, and — the refactor's core invariant —
-// verifies that every run produces a bit-identical model (same rendered
-// report, same Hurst estimates to the last bit).
+// A row's thread count is the number of threads that run the fit. The
+// waiting caller helps run tasks, so Executor(w - 1) runs w threads; a
+// 1-worker pool is the inline serial executor, so width 1 is Executor(1)
+// and width 2 cannot be built. The sweep is width 1, each power of two from
+// 4 up to --max-threads, and --max-threads itself when it is at least 3.
 //
-// Two Amdahl serial-fraction estimates accompany the measured curve:
-//   * measured — least-squares fit of T(N) = T1 * (s + (1-s)/N) to the
-//     observed run times. Only meaningful when the host can actually run N
-//     threads at once.
-//   * modeled — span/work from the serial run's StageTimings span tree
-//     (see support/timing.h), which captures the task graph's critical
-//     path independently of how many cores the host has.
-// Each run's JSON record carries both speedups plus a speedup_source label:
-// "measured" when the host had enough cores for the run, "modeled"
-// otherwise (e.g. CI boxes with fewer cores than the sweep).
+// One discarded warm-up fit runs first: the first fit of a process pays for
+// cold caches. Then kRounds rounds each run every width once, the order
+// reversed each round so a drifting host speed weighs all widths alike.
+// Each row reports the median and IQR of its rounds, and its speedup is the
+// width-1 median over its own. A width above the host's hardware threads
+// still runs, so its report is still checked, but its speedup is not
+// measured: the table says so and its JSON row carries no "speedup" field.
 //
-//   ./bench_parallel_scaling --server CSEE --scale 0.5 --max-threads 8 \
-//       --timings-json spans.json
-#include <algorithm>
+// Every fit must render the same report as the warm-up, to the last bit
+// (exit 1 otherwise): an executor changes throughput, never results.
+//
+//   bench_parallel_scaling --max-threads 8 --timings-json spans.json
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/fullweb_model.h"
+#include "stats/descriptive.h"
 #include "support/executor.h"
 #include "support/json.h"
 #include "support/timing.h"
@@ -35,52 +36,40 @@ namespace {
 
 using namespace fullweb;
 
-struct RunResult {
-  std::size_t threads = 0;
+/// Timed rounds; each runs every width once.
+constexpr std::size_t kRounds = 5;
+
+struct Fit {
   double seconds = 0.0;
-  double work_seconds = 0.0;
-  double span_seconds = 0.0;
-  double serial_fraction = 1.0;  ///< span/work from the stage tree
   std::string report;
-  std::string stage_table;   // StageTimings holds a mutex; keep the rendering
+  std::string stage_table;   // StageTimings holds a mutex; keep the renderings
   std::string timings_json;  // full span tree
 };
 
-RunResult run_once(const weblog::Dataset& dataset, std::uint64_t seed,
-                   std::size_t threads) {
-  RunResult out;
-  out.threads = threads;
-  support::Executor ex(threads);
+/// One end-to-end fit on `width` runnable threads.
+Fit fit_once(const weblog::Dataset& dataset, std::uint64_t seed,
+             std::size_t width) {
+  support::Executor ex(width == 1 ? 1 : width - 1);
   support::StageTimings timings;
-
   core::FullWebOptions opts;
   opts.executor = &ex;
   opts.timings = &timings;
   opts.tails.curvature_replicates = 99;
 
+  Fit out;
   support::Rng rng(seed);
-  support::StageTimings wall;
-  {
-    support::StageTimer t(&wall, "total");
-    auto model = core::fit_fullweb_model(dataset, rng, opts);
-    if (!model.ok()) {
-      std::fprintf(stderr, "fatal: fit failed: %s\n",
-                   model.error().message.c_str());
-      std::exit(1);
-    }
-    out.report = core::render_report(model.value());
+  const double start = bench::now_seconds();
+  auto model = core::fit_fullweb_model(dataset, rng, opts);
+  if (!model.ok()) {
+    std::fprintf(stderr, "fatal: fit failed: %s\n",
+                 model.error().message.c_str());
+    std::exit(1);
   }
-  out.seconds = wall.entries().front().seconds;
+  out.report = core::render_report(model.value());
+  out.seconds = bench::now_seconds() - start;
   out.stage_table = timings.table();
-  out.work_seconds = timings.work_seconds();
-  out.span_seconds = timings.span_seconds();
-  out.serial_fraction = timings.serial_fraction();
   out.timings_json = timings.to_json();
   return out;
-}
-
-double amdahl_speedup(double s, std::size_t threads) {
-  return 1.0 / (s + (1.0 - s) / static_cast<double>(threads));
 }
 
 }  // namespace
@@ -90,12 +79,12 @@ int main(int argc, char** argv) {
   support::CliFlags flags;
   flags.define("server", "CSEE", "WVU | ClarkNet | CSEE | NASA-Pub2");
   flags.define("max-threads", "8",
-               "highest thread count in the 1,2,4,.. sweep (0 = hardware)");
+               "highest thread count in the 1,4,8,.. sweep (0 = hardware)");
   flags.define("json-out", "BENCH_scaling.json",
                "machine-readable results file, bench_compare-compatible "
                "(empty = skip)");
   flags.define("timings-json", "",
-               "dump the serial run's stage span tree to this file "
+               "dump a timed 1-thread fit's stage span tree to this file "
                "(empty = skip)");
   if (!bench::parse_bench_flags(argc, argv, &ctx, &flags)) return 2;
 
@@ -117,60 +106,65 @@ int main(int argc, char** argv) {
   std::printf("dataset: %s, %zu requests, %zu sessions\n",
               dataset.name().c_str(), dataset.requests().size(),
               dataset.sessions().size());
-  std::printf("host threads: %zu\n\n", host_threads);
+  std::printf("host threads: %zu\n", host_threads);
+  std::printf("%zu timed rounds after 1 warm-up fit, order reversed each "
+              "round\n\n",
+              kRounds);
 
-  std::vector<std::size_t> counts = {1};
-  for (std::size_t t = 2; t <= max_threads; t *= 2) counts.push_back(t);
-  if (counts.back() != max_threads && max_threads > 1)
-    counts.push_back(max_threads);
+  std::vector<std::size_t> widths = {1};
+  for (std::size_t w = 4; w <= max_threads; w *= 2) widths.push_back(w);
+  if (max_threads >= 3 && widths.back() != max_threads)
+    widths.push_back(max_threads);
 
-  std::vector<RunResult> runs;
-  for (std::size_t t : counts) runs.push_back(run_once(dataset, ctx.seed, t));
-
-  const RunResult& serial = runs.front();
-  std::printf("per-stage wall-clock, serial run:\n%s\n",
-              serial.stage_table.c_str());
-  std::printf(
-      "span model (serial run): work %.3f s, span %.3f s, serial fraction "
-      "%.4f\n",
-      serial.work_seconds, serial.span_seconds, serial.serial_fraction);
-
-  // Least-squares Amdahl fit to the measured curve:
-  //   T(N)/T(1) = s * (1 - 1/N) + 1/N.
-  double sxx = 0.0, sxy = 0.0;
-  for (const RunResult& r : runs) {
-    if (r.threads == 1) continue;
-    const double inv = 1.0 / static_cast<double>(r.threads);
-    const double x = 1.0 - inv;
-    const double y = r.seconds / serial.seconds - inv;
-    sxx += x * x;
-    sxy += x * y;
+  const Fit warmup = fit_once(dataset, ctx.seed, 1);
+  std::vector<std::vector<double>> seconds(widths.size());
+  std::vector<char> identical(widths.size(), 1);
+  Fit serial;  // the first timed width-1 fit
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < widths.size(); ++k) {
+      const std::size_t i = round % 2 == 0 ? k : widths.size() - 1 - k;
+      Fit fit = fit_once(dataset, ctx.seed, widths[i]);
+      seconds[i].push_back(fit.seconds);
+      if (fit.report != warmup.report) identical[i] = 0;
+      if (i == 0 && serial.report.empty()) serial = std::move(fit);
+    }
   }
-  const double s_measured =
-      sxx > 0.0 ? std::clamp(sxy / sxx, 0.0, 1.0) : 1.0;
-  std::printf("amdahl fit (measured): serial fraction %.4f%s\n\n", s_measured,
-              max_threads > host_threads
-                  ? "  [host has fewer cores than the sweep]"
-                  : "");
+  std::printf("per-stage wall-clock, timed 1-thread fit:\n%s\n",
+              serial.stage_table.c_str());
 
-  std::printf("%-10s %12s %10s %10s %14s\n", "threads", "total (s)",
-              "measured", "modeled", "bit-identical");
+  struct Row {
+    std::size_t width;
+    double median;
+    double iqr;
+    bool measured;  ///< the host can run this many threads at once
+  };
+  std::vector<Row> rows;
+  for (std::size_t i = 0; i < widths.size(); ++i)
+    rows.push_back({widths[i], stats::quantile(seconds[i], 0.5),
+                    stats::quantile(seconds[i], 0.75) -
+                        stats::quantile(seconds[i], 0.25),
+                    widths[i] <= host_threads});
+  const double serial_median = rows.front().median;
+
+  std::printf("%-10s %12s %10s %13s %14s\n", "threads", "median (s)",
+              "IQR (s)", "speedup", "bit-identical");
   bool all_identical = true;
-  for (const RunResult& r : runs) {
-    const bool identical = r.report == serial.report;
-    all_identical = all_identical && identical;
-    std::printf("%-10zu %12.3f %9.2fx %9.2fx %14s\n", r.threads, r.seconds,
-                serial.seconds / r.seconds,
-                amdahl_speedup(serial.serial_fraction, r.threads),
-                identical ? "yes" : "NO");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    all_identical = all_identical && identical[i];
+    char speedup[32] = "not measured";
+    if (r.measured)
+      std::snprintf(speedup, sizeof speedup, "%.2fx", serial_median / r.median);
+    std::printf("%-10zu %12.3f %10.3f %13s %14s\n", r.width, r.median, r.iqr,
+                speedup, identical[i] ? "yes" : "NO");
   }
   if (!all_identical) {
     std::fprintf(stderr,
-                 "\nFATAL: parallel run diverged from the serial run — the "
+                 "\nFATAL: a parallel fit diverged from the serial fit — the "
                  "determinism invariant is broken\n");
     return 1;
   }
-  std::printf("\nall runs bit-identical to the serial fit\n");
+  std::printf("\nall fits bit-identical to the serial fit\n");
 
   const std::string timings_path = flags.get("timings-json");
   if (!timings_path.empty()) {
@@ -184,10 +178,8 @@ int main(int argc, char** argv) {
   }
 
   // Machine-readable mirror of the table, shaped like google-benchmark JSON
-  // so tools/bench_compare can diff it against a committed baseline. The
-  // headline "speedup" is the measured one when the host genuinely ran that
-  // many threads, and the span-tree projection otherwise — either way the
-  // numbers derive from the same bit-identical serial fit.
+  // so tools/bench_compare can gate it (--min-speedup) or diff it against a
+  // committed baseline.
   const std::string json_path = flags.get("json-out");
   if (!json_path.empty()) {
     support::JsonWriter w;
@@ -199,27 +191,19 @@ int main(int argc, char** argv) {
     w.field("requests", dataset.requests().size());
     w.field("max_threads", max_threads);
     w.field("host_threads", host_threads);
-    w.field("work_seconds", serial.work_seconds);
-    w.field("span_seconds", serial.span_seconds);
-    w.field("serial_fraction_modeled", serial.serial_fraction);
-    w.field("serial_fraction_measured", s_measured);
+    w.field("rounds", kRounds);
     w.end_object();
     w.key("benchmarks");
     w.begin_array();
-    for (const RunResult& r : runs) {
-      const double measured = serial.seconds / r.seconds;
-      const double modeled = amdahl_speedup(serial.serial_fraction, r.threads);
-      const bool host_covers = r.threads <= host_threads;
+    for (const Row& r : rows) {
       w.begin_object();
-      w.field("name", "fullweb_fit/threads:" + std::to_string(r.threads));
-      w.field("real_time", r.seconds * 1e9);
+      w.field("name", "fullweb_fit/threads:" + std::to_string(r.width));
+      w.field("real_time", r.median * 1e9);
+      w.field("real_time_iqr", r.iqr * 1e9);
       w.field("time_unit", "ns");
       w.field("items_per_second",
-              static_cast<double>(dataset.requests().size()) / r.seconds);
-      w.field("speedup", host_covers ? measured : modeled);
-      w.field("speedup_measured", measured);
-      w.field("speedup_modeled", modeled);
-      w.field("speedup_source", host_covers ? "measured" : "modeled");
+              static_cast<double>(dataset.requests().size()) / r.median);
+      if (r.measured) w.field("speedup", serial_median / r.median);
       w.end_object();
     }
     w.end_array();

@@ -37,7 +37,7 @@ endif()
 # bit-identity checks; test_support_workspace pins the thread_local arena
 # isolation — both are claims that only TSan can actually falsify.
 # test_kernel_determinism does the same for the parallelized fit kernels
-# (curvature Monte Carlo, wavelet transform, chunked periodogram), and
+# (curvature Monte Carlo, chunked periodogram, make_stationary), and
 # test_support_timing exercises the cross-thread StageTimings sink.
 # test_core_fleet asserts the fleet shard fan-out is bit-identical at 1 vs
 # 8 threads — the claim is only falsifiable with TSan watching the merge —

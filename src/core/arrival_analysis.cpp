@@ -14,7 +14,6 @@ Result<ArrivalAnalysis> analyze_arrivals(std::span<const double> counts,
                                          const ArrivalAnalysisOptions& options) {
   ArrivalAnalysis out;
   support::Executor& ex = support::Executor::resolve(options.hurst.executor);
-  using Kind = support::StageTimings::Kind;
 
   lrd::HurstSuiteOptions hopts = options.hurst;
   if (hopts.timings == nullptr) hopts.timings = options.timings;
@@ -25,7 +24,7 @@ Result<ArrivalAnalysis> analyze_arrivals(std::span<const double> counts,
   Result<StationaryReport> st =
       support::Error::invalid_argument("stationarization did not run");
   {
-    support::StageTimer phase(options.timings, "raw series", Kind::kPhase);
+    support::StageTimer phase(options.timings, "raw series");
     support::TaskGroup group(ex);
     group.run([&] {
       support::StageTimer t(options.timings, "hurst suite (raw)");
@@ -51,13 +50,11 @@ Result<ArrivalAnalysis> analyze_arrivals(std::span<const double> counts,
   // Abry-Veitch sweeps share it.
   std::optional<timeseries::AggregationPyramid> pyramid;
   if (options.run_aggregation_sweep) {
-    support::StageTimer t(options.timings, "aggregation pyramid", Kind::kPhase);
+    support::StageTimer t(options.timings, "aggregation pyramid");
     pyramid.emplace(std::span<const double>(out.stationarity.series),
                     options.aggregation_levels);
   }
-  support::StageTimer phase(options.timings, "stationary series", Kind::kPhase);
-  const auto sweep_width =
-      static_cast<double>(options.aggregation_levels.size());
+  support::StageTimer phase(options.timings, "stationary series");
   support::TaskGroup group(ex);
   group.run([&] {
     support::StageTimer t(options.timings, "hurst suite (stationary)");
@@ -66,14 +63,12 @@ Result<ArrivalAnalysis> analyze_arrivals(std::span<const double> counts,
   if (pyramid.has_value()) {
     // The sweeps parallel_for over the aggregation levels.
     group.run([&] {
-      support::StageTimer t(options.timings, "whittle sweep", Kind::kTask,
-                            sweep_width);
+      support::StageTimer t(options.timings, "whittle sweep");
       out.whittle_sweep = lrd::aggregated_hurst_sweep(
           *pyramid, lrd::HurstMethod::kWhittle, options.hurst);
     });
     group.run([&] {
-      support::StageTimer t(options.timings, "abry-veitch sweep", Kind::kTask,
-                            sweep_width);
+      support::StageTimer t(options.timings, "abry-veitch sweep");
       out.abry_veitch_sweep = lrd::aggregated_hurst_sweep(
           *pyramid, lrd::HurstMethod::kAbryVeitch, options.hurst);
     });

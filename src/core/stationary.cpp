@@ -31,8 +31,7 @@ SeasonalScan scan_seasonality(std::span<const double> xs,
   scan.trend = timeseries::detrend_linear(xs, /*keep_mean=*/true);
   const auto& working = scan.trend.residual;
   if (working.size() >= 2 * options.max_period) {
-    support::StageTimer t(options.timings, "scan periodogram",
-                          support::StageTimings::Kind::kPhase);
+    support::StageTimer t(options.timings, "scan periodogram");
     // make_stationary validated the bounds, so the band cannot fail.
     const auto band = stats::periodogram_band(working, options.min_period,
                                               options.max_period)
@@ -91,9 +90,6 @@ Result<StationaryReport> make_stationary(std::span<const double> xs,
   }
 
   if (!scan.has_value()) {
-    // Recorded as a task even on the serial path: a parallel pool overlaps
-    // this scan with the raw KPSS above, and span trees are captured from
-    // serial runs.
     support::StageTimer t(options.timings, "seasonal scan");
     scan = scan_seasonality(xs, options);
   }
@@ -117,8 +113,7 @@ Result<StationaryReport> make_stationary(std::span<const double> xs,
     report.seasonal_removed = true;
   }
 
-  support::StageTimer post_timer(options.timings, "kpss (post)",
-                                 support::StageTimings::Kind::kPhase);
+  support::StageTimer post_timer(options.timings, "kpss (post)");
   auto post = stats::kpss_test(working, stats::KpssNull::kLevel, options.kpss_lag);
   post_timer.stop();
   if (post.ok()) report.kpss_stationary = post.value();

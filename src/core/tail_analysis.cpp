@@ -40,10 +40,9 @@ TailAnalysis analyze_tail(std::span<const double> samples, support::Rng& rng,
   support::Executor& ex = support::Executor::resolve(options.executor);
   {
     // The estimator pair and the curvature pair are sequential phases (the
-    // curvature tests only run when an estimator succeeded), so the span
-    // model adds them; within each phase the tasks are concurrent.
-    support::StageTimer phase(options.timings, "estimators",
-                              support::StageTimings::Kind::kPhase);
+    // curvature tests only run when an estimator succeeded); within each
+    // phase the tasks are concurrent.
+    support::StageTimer phase(options.timings, "estimators");
     support::TaskGroup group(ex);
     group.run([&] {
       support::StageTimer t(options.timings, "llcd fit");
@@ -61,23 +60,19 @@ TailAnalysis analyze_tail(std::span<const double> samples, support::Rng& rng,
   if (!out.available) return out;
 
   if (options.run_curvature) {
-    support::StageTimer phase(options.timings, "curvature",
-                              support::StageTimings::Kind::kPhase);
+    support::StageTimer phase(options.timings, "curvature");
     tail::CurvatureOptions copts;
     copts.replicates = options.curvature_replicates;
     copts.executor = &ex;  // replicates fan out on the same pool
-    const auto width = static_cast<double>(copts.replicates);
     support::TaskGroup group(ex);
     group.run([&, copts]() mutable {
-      support::StageTimer t(options.timings, "curvature pareto",
-                            support::StageTimings::Kind::kTask, width);
+      support::StageTimer t(options.timings, "curvature pareto");
       copts.model = tail::TailModel::kPareto;
       if (auto c = tail::curvature_test(samples, pareto_rng, copts); c.ok())
         out.curvature_pareto = c.value();
     });
     group.run([&, copts]() mutable {
-      support::StageTimer t(options.timings, "curvature lognormal",
-                            support::StageTimings::Kind::kTask, width);
+      support::StageTimer t(options.timings, "curvature lognormal");
       copts.model = tail::TailModel::kLognormal;
       if (auto c = tail::curvature_test(samples, lognormal_rng, copts); c.ok())
         out.curvature_lognormal = c.value();

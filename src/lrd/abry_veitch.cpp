@@ -16,8 +16,7 @@ Result<AbryVeitchResult> abry_veitch_hurst(std::span<const double> xs,
   if (xs.size() < 64)
     return Error::insufficient_data("abry_veitch_hurst: series too short");
 
-  const auto decomp = timeseries::dwt(xs, options.wavelet, options.min_coeffs,
-                                      options.executor);
+  const auto decomp = timeseries::dwt(xs, options.wavelet, options.min_coeffs);
   const std::size_t octaves = decomp.octaves();
   if (octaves < 3)
     return Error::insufficient_data("abry_veitch_hurst: fewer than 3 octaves");

@@ -16,10 +16,6 @@
 #include "support/result.h"
 #include "timeseries/wavelet.h"
 
-namespace fullweb::support {
-class Executor;
-}
-
 namespace fullweb::lrd {
 
 struct AbryVeitchOptions {
@@ -28,8 +24,6 @@ struct AbryVeitchOptions {
   std::size_t j2 = 0;             ///< coarsest octave; 0 = deepest with
                                   ///< at least `min_coeffs` coefficients
   std::size_t min_coeffs = 8;     ///< per-octave coefficient floor
-  /// Task executor for the wavelet-transform chunking (null = global pool).
-  support::Executor* executor = nullptr;
 };
 
 struct AbryVeitchResult {

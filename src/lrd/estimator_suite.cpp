@@ -1,6 +1,5 @@
 #include "lrd/estimator_suite.h"
 
-#include <algorithm>
 #include <array>
 #include <optional>
 
@@ -63,8 +62,7 @@ HurstSuiteResult hurst_suite(std::span<const double> xs,
   // power-of-two-truncated periodogram feeds both frequency-domain ones
   // (GPH log-regression and Whittle likelihood). This removes the repeated
   // per-estimator cumsum/FFT passes over the same series.
-  using Kind = support::StageTimings::Kind;
-  support::StageTimer pm_timer(options.timings, "prefix moments", Kind::kPhase);
+  support::StageTimer pm_timer(options.timings, "prefix moments");
   const stats::PrefixMoments pm(xs);
   pm_timer.stop();
   std::span<const double> input = xs;
@@ -75,11 +73,8 @@ HurstSuiteResult hurst_suite(std::span<const double> xs,
   }
   support::Executor& ex = support::Executor::resolve(options.executor);
   // The shared FFT is serial work every estimator waits behind — chunk its
-  // stages on the pool before the fan-out. (Width mirrors the FFT's ~16k
-  // chunk granularity.)
-  support::StageTimer pg_timer(
-      options.timings, "shared periodogram", Kind::kPhase,
-      std::max<double>(1.0, static_cast<double>(input.size()) / 32768.0));
+  // stages on the pool before the fan-out.
+  support::StageTimer pg_timer(options.timings, "shared periodogram");
   const stats::Periodogram pg = stats::periodogram(input, &ex);
   pg_timer.stop();
 
@@ -111,14 +106,8 @@ HurstSuiteResult hurst_suite(std::span<const double> xs,
     });
   }
   group.run([&] {
-    // The wavelet transform chunks its big octaves on the same pool the
-    // suite fans out on (nested waits help, so this cannot deadlock).
-    support::StageTimer t(
-        options.timings, "abry-veitch", Kind::kTask,
-        std::max<double>(1.0, static_cast<double>(xs.size()) / 32768.0));
-    AbryVeitchOptions av = options.abry_veitch;
-    if (av.executor == nullptr) av.executor = &ex;
-    if (auto r = abry_veitch_hurst(xs, av); r.ok())
+    support::StageTimer t(options.timings, "abry-veitch");
+    if (auto r = abry_veitch_hurst(xs, options.abry_veitch); r.ok())
       slots[4] = r.value().estimate;
   });
   group.wait();

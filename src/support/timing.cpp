@@ -42,8 +42,7 @@ int StageTimings::thread_id_locked(std::thread::id id) {
   return it->second;
 }
 
-std::size_t StageTimings::begin(std::string_view stage, Kind kind,
-                                double width) {
+std::size_t StageTimings::begin(std::string_view stage) {
   const double start = now_seconds() - origin_;
   std::size_t index = 0;
   {
@@ -54,8 +53,6 @@ std::size_t StageTimings::begin(std::string_view stage, Kind kind,
     e.start = start;
     e.thread = thread_id_locked(std::this_thread::get_id());
     e.parent = open_parent(this);
-    e.kind = kind;
-    e.width = width > 1.0 ? width : 1.0;
     entries_.push_back(std::move(e));
   }
   t_open.push_back({this, index});
@@ -77,18 +74,6 @@ void StageTimings::end(std::size_t index) {
   entries_[index].seconds = now - entries_[index].start;
 }
 
-void StageTimings::record(std::string_view stage, double seconds) {
-  const double now = now_seconds() - origin_;
-  std::scoped_lock lock(m_);
-  Entry e;
-  e.stage = std::string(stage);
-  e.seconds = seconds;
-  e.start = now - seconds;
-  e.thread = thread_id_locked(std::this_thread::get_id());
-  e.parent = open_parent(this);
-  entries_.push_back(std::move(e));
-}
-
 std::vector<StageTimings::Entry> StageTimings::entries() const {
   std::scoped_lock lock(m_);
   return entries_;
@@ -97,79 +82,6 @@ std::vector<StageTimings::Entry> StageTimings::entries() const {
 bool StageTimings::empty() const {
   std::scoped_lock lock(m_);
   return entries_.empty();
-}
-
-double StageTimings::total_seconds() const {
-  std::scoped_lock lock(m_);
-  double total = 0.0;
-  for (const auto& e : entries_) total += e.seconds;
-  return total;
-}
-
-void StageTimings::analyze(const std::vector<Entry>& snapshot, double& work,
-                           double& span) {
-  work = 0.0;
-  span = 0.0;
-  const std::size_t n = snapshot.size();
-  if (n == 0) return;
-
-  // Children always have a larger index than their parent (the parent's
-  // entry exists before any child begins), so one descending pass computes
-  // spans bottom-up. `child_*` accumulate into the parent slot; slot n is
-  // the virtual root that combines the top-level stages.
-  std::vector<double> child_seconds(n + 1, 0.0);
-  std::vector<double> child_phase_span(n + 1, 0.0);
-  std::vector<double> child_task_span(n + 1, 0.0);
-  std::vector<double> self(n, 0.0);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t parent =
-        snapshot[i].parent >= 0 ? static_cast<std::size_t>(snapshot[i].parent)
-                                : n;
-    child_seconds[parent] += snapshot[i].seconds;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    self[i] = std::max(0.0, snapshot[i].seconds - child_seconds[i]);
-    work += self[i];
-  }
-  for (std::size_t i = n; i-- > 0;) {
-    const double node_span = self[i] / snapshot[i].width +
-                             child_phase_span[i] + child_task_span[i];
-    const std::size_t parent =
-        snapshot[i].parent >= 0 ? static_cast<std::size_t>(snapshot[i].parent)
-                                : n;
-    if (snapshot[i].kind == Kind::kPhase) {
-      child_phase_span[parent] += node_span;
-    } else {
-      child_task_span[parent] = std::max(child_task_span[parent], node_span);
-    }
-  }
-  span = child_phase_span[n] + child_task_span[n];
-}
-
-double StageTimings::work_seconds() const {
-  double work = 0.0, span = 0.0;
-  analyze(entries(), work, span);
-  return work;
-}
-
-double StageTimings::span_seconds() const {
-  double work = 0.0, span = 0.0;
-  analyze(entries(), work, span);
-  return span;
-}
-
-double StageTimings::serial_fraction() const {
-  double work = 0.0, span = 0.0;
-  analyze(entries(), work, span);
-  if (work <= 0.0) return 1.0;
-  return std::clamp(span / work, 0.0, 1.0);
-}
-
-double StageTimings::modeled_speedup(std::size_t threads) const {
-  if (threads == 0) return 1.0;
-  const double s = serial_fraction();
-  return 1.0 / (s + (1.0 - s) / static_cast<double>(threads));
 }
 
 std::string StageTimings::table() const {
@@ -198,15 +110,8 @@ std::string StageTimings::table() const {
 
 std::string StageTimings::to_json() const {
   const auto snapshot = entries();
-  double work = 0.0, span = 0.0;
-  analyze(snapshot, work, span);
-
   JsonWriter w;
   w.begin_object();
-  w.field("work_seconds", work);
-  w.field("span_seconds", span);
-  w.field("serial_fraction",
-          work > 0.0 ? std::clamp(span / work, 0.0, 1.0) : 1.0);
   w.key("stages");
   w.begin_array();
   for (const auto& e : snapshot) {
@@ -216,8 +121,6 @@ std::string StageTimings::to_json() const {
     w.field("start", e.start);
     w.field("thread", static_cast<double>(e.thread));
     w.field("parent", static_cast<double>(e.parent));
-    w.field("kind", e.kind == Kind::kPhase ? "phase" : "task");
-    w.field("width", e.width);
     w.end_object();
   }
   w.end_array();
@@ -225,12 +128,11 @@ std::string StageTimings::to_json() const {
   return std::move(w).str();
 }
 
-StageTimer::StageTimer(StageTimings* sink, std::string_view stage,
-                       StageTimings::Kind kind, double width)
+StageTimer::StageTimer(StageTimings* sink, std::string_view stage)
     : sink_(sink), armed_(sink != nullptr) {
   if (armed_) {
     start_ = now_seconds();
-    index_ = sink_->begin(stage, kind, width);
+    index_ = sink_->begin(stage);
   }
 }
 

@@ -12,20 +12,8 @@
 // serial executor every task inlines at its submission site, so nesting
 // reflects the task graph exactly; on a parallel pool a stolen task starts
 // on a worker with no open stage and appears as a root (timestamps and
-// thread ids stay meaningful, the tree does not).
-//
-// The tree drives a work/span model of the pipeline:
-//   work W = sum of per-stage self times (time not covered by child stages)
-//   span S = critical path, combining children by their Kind — kTask
-//            siblings are concurrent (max), kPhase siblings are sequential
-//            (sum) — with each stage's own self time divided by its
-//            declared fan-out `width` (a stage whose body is a
-//            parallel_for over `width` independent units contributes
-//            self/width to the path).
-// serial_fraction() = S/W and modeled_speedup(N) = 1/(s + (1-s)/N) give an
-// Amdahl estimate of how the instrumented run would scale, measured from a
-// single-threaded pass. Record the tree at threads=1: that is where nesting
-// is faithful and timings deterministic.
+// thread ids stay meaningful, the tree does not). Record the tree at
+// threads=1: that is where nesting is faithful.
 #pragma once
 
 #include <cstddef>
@@ -40,73 +28,36 @@ namespace fullweb::support {
 
 class StageTimings {
  public:
-  /// How a stage overlaps with its siblings in the span model.
-  enum class Kind {
-    kTask,   ///< concurrent with sibling kTask stages (span takes the max)
-    kPhase,  ///< sequential with every sibling (span adds it)
-  };
-
   struct Entry {
     std::string stage;
     double seconds = 0.0;  ///< duration (0 while the stage is still open)
     double start = 0.0;    ///< begin time, seconds since the sink was made
     int thread = 0;        ///< dense id of the executing thread
     int parent = -1;       ///< index of the enclosing stage, -1 = root
-    Kind kind = Kind::kTask;
-    double width = 1.0;    ///< independent units the stage body fans into
   };
 
   StageTimings();
 
   /// Open a stage on this thread: the entry is created now (so children
   /// can reference it) and closed by end(). Returns the entry index.
-  std::size_t begin(std::string_view stage, Kind kind = Kind::kTask,
-                    double width = 1.0);
+  std::size_t begin(std::string_view stage);
 
   /// Close a stage opened by begin() on the same thread.
   void end(std::size_t index);
 
-  /// Append one already-measured leaf (thread-safe; keeps begin/arrival
-  /// order). Parented under whatever stage is open on this thread.
-  void record(std::string_view stage, double seconds);
-
   [[nodiscard]] std::vector<Entry> entries() const;
   [[nodiscard]] bool empty() const;
-
-  /// Sum of all recorded *root* stage durations plus nothing else would
-  /// undercount concurrent branches, so this remains the historical sum of
-  /// every stage duration (CPU-side busy time; with parallel branches or
-  /// nested stages this exceeds elapsed wall-clock).
-  [[nodiscard]] double total_seconds() const;
-
-  /// Total work: sum over stages of self time (duration minus the duration
-  /// of direct children). Unlike total_seconds() nothing is double-counted.
-  [[nodiscard]] double work_seconds() const;
-
-  /// Critical path under the Kind/width model described above.
-  [[nodiscard]] double span_seconds() const;
-
-  /// Amdahl serial fraction s = span/work, clamped to [0, 1]. Returns 1
-  /// when nothing was recorded.
-  [[nodiscard]] double serial_fraction() const;
-
-  /// Amdahl projection 1 / (s + (1 - s) / threads) from serial_fraction().
-  [[nodiscard]] double modeled_speedup(std::size_t threads) const;
 
   /// "stage / seconds" text table in begin order, children indented under
   /// their parents.
   [[nodiscard]] std::string table() const;
 
-  /// The span tree as a JSON document: sink-level work/span/serial-fraction
-  /// plus one record per stage ({stage, seconds, start, thread, parent,
-  /// kind, width}). Deterministic for a deterministic run.
+  /// The span tree as a JSON document: one record per stage ({stage,
+  /// seconds, start, thread, parent}) under "stages".
   [[nodiscard]] std::string to_json() const;
 
  private:
   [[nodiscard]] int thread_id_locked(std::thread::id id);
-  /// Work/span over a snapshot (no lock).
-  static void analyze(const std::vector<Entry>& snapshot, double& work,
-                      double& span);
 
   mutable std::mutex m_;
   std::vector<Entry> entries_;
@@ -118,9 +69,7 @@ class StageTimings {
 /// destruction (or at stop()). A null sink makes it a no-op.
 class StageTimer {
  public:
-  StageTimer(StageTimings* sink, std::string_view stage,
-             StageTimings::Kind kind = StageTimings::Kind::kTask,
-             double width = 1.0);
+  StageTimer(StageTimings* sink, std::string_view stage);
   ~StageTimer();
 
   StageTimer(const StageTimer&) = delete;

@@ -1,10 +1,7 @@
 #include "timeseries/wavelet.h"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
-
-#include "support/executor.h"
 
 namespace fullweb::timeseries {
 
@@ -43,10 +40,9 @@ FilterPair make_filters(WaveletKind kind) {
 }  // namespace
 
 WaveletDecomposition dwt(std::span<const double> xs, WaveletKind kind,
-                         std::size_t min_coeffs, support::Executor* executor) {
+                         std::size_t min_coeffs) {
   const FilterPair f = make_filters(kind);
   const std::size_t flen = f.h.size();
-  support::Executor& ex = support::Executor::resolve(executor);
 
   WaveletDecomposition out;
   std::vector<double> approx(xs.begin(), xs.end());
@@ -64,45 +60,26 @@ WaveletDecomposition dwt(std::span<const double> xs, WaveletKind kind,
     // Accumulation order per output is identical to the wrapped loop.
     const std::size_t safe = (n - flen) / 2 + 1;
     const double* src = approx.data();
-    auto convolve_range = [&](std::size_t lo, std::size_t hi) {
-      if (flen == 4) {
-        const double h0 = f.h[0], h1 = f.h[1], h2 = f.h[2], h3 = f.h[3];
-        const double g0 = f.g[0], g1 = f.g[1], g2 = f.g[2], g3 = f.g[3];
-        for (std::size_t k = lo; k < hi; ++k) {
-          const double* p = src + 2 * k;
-          next[k] = ((h0 * p[0] + h1 * p[1]) + h2 * p[2]) + h3 * p[3];
-          detail[k] = ((g0 * p[0] + g1 * p[1]) + g2 * p[2]) + g3 * p[3];
-        }
-      } else {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const double* p = src + 2 * k;
-          double a = 0.0;
-          double d = 0.0;
-          for (std::size_t t = 0; t < flen; ++t) {
-            a += f.h[t] * p[t];
-            d += f.g[t] * p[t];
-          }
-          next[k] = a;
-          detail[k] = d;
-        }
+    if (flen == 4) {
+      const double h0 = f.h[0], h1 = f.h[1], h2 = f.h[2], h3 = f.h[3];
+      const double g0 = f.g[0], g1 = f.g[1], g2 = f.g[2], g3 = f.g[3];
+      for (std::size_t k = 0; k < safe; ++k) {
+        const double* p = src + 2 * k;
+        next[k] = ((h0 * p[0] + h1 * p[1]) + h2 * p[2]) + h3 * p[3];
+        detail[k] = ((g0 * p[0] + g1 * p[1]) + g2 * p[2]) + g3 * p[3];
       }
-    };
-    // Chunk the safe region across the pool: each output index k writes
-    // only next[k]/detail[k], and the per-output accumulation order is the
-    // serial loop's, so the decomposition is bit-identical at any thread
-    // count. Only the first few octaves of a long series clear the block
-    // threshold; deep (short) levels stay serial to dodge task overhead.
-    constexpr std::size_t kBlock = 16384;
-    if (ex.serial() || safe < 2 * kBlock) {
-      convolve_range(0, safe);
     } else {
-      const std::size_t blocks = (safe + kBlock - 1) / kBlock;
-      ex.parallel_for(
-          0, blocks,
-          [&](std::size_t b) {
-            convolve_range(b * kBlock, std::min(safe, (b + 1) * kBlock));
-          },
-          /*grain=*/1);
+      for (std::size_t k = 0; k < safe; ++k) {
+        const double* p = src + 2 * k;
+        double a = 0.0;
+        double d = 0.0;
+        for (std::size_t t = 0; t < flen; ++t) {
+          a += f.h[t] * p[t];
+          d += f.g[t] * p[t];
+        }
+        next[k] = a;
+        detail[k] = d;
+      }
     }
     for (std::size_t k = safe; k < half; ++k) {
       double a = 0.0;

@@ -10,10 +10,6 @@
 #include <span>
 #include <vector>
 
-namespace fullweb::support {
-class Executor;
-}
-
 namespace fullweb::timeseries {
 
 enum class WaveletKind {
@@ -33,13 +29,8 @@ struct WaveletDecomposition {
 /// Decompose down to octaves whose detail vector still has at least
 /// `min_coeffs` coefficients (default 4, so variances are estimable).
 /// The input is truncated to an even length per level as needed.
-/// Large levels chunk their filter convolutions across `executor` (null =
-/// the global pool); every output index writes only its own coefficient
-/// slot with an unchanged per-output accumulation order, so the transform
-/// is bit-identical at any thread count.
 [[nodiscard]] WaveletDecomposition dwt(std::span<const double> xs,
                                        WaveletKind kind = WaveletKind::kD4,
-                                       std::size_t min_coeffs = 4,
-                                       support::Executor* executor = nullptr);
+                                       std::size_t min_coeffs = 4);
 
 }  // namespace fullweb::timeseries

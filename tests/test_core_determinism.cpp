@@ -45,6 +45,41 @@ Fit fit_with_threads(std::size_t threads) {
   return {model.value(), render_report(model.value())};
 }
 
+/// Every optional tail estimate must be present on both sides or on
+/// neither, and equal when present: an estimate on one side only is a
+/// divergence, not something to skip.
+void expect_same_tail(const TailAnalysis& a, const TailAnalysis& b,
+                      const std::string& where) {
+  EXPECT_EQ(a.available, b.available) << where;
+  ASSERT_EQ(a.llcd.has_value(), b.llcd.has_value()) << where << " llcd";
+  if (a.llcd) {
+    EXPECT_EQ(a.llcd->alpha, b.llcd->alpha) << where << " llcd";
+  }
+  ASSERT_EQ(a.hill.has_value(), b.hill.has_value()) << where << " hill";
+  if (a.hill) {
+    EXPECT_EQ(a.hill->alpha, b.hill->alpha) << where << " hill";
+    EXPECT_EQ(a.hill->stabilized, b.hill->stabilized) << where << " hill";
+  }
+  for (const auto test : {&TailAnalysis::curvature_pareto,
+                          &TailAnalysis::curvature_lognormal}) {
+    const auto& ca = a.*test;
+    const auto& cb = b.*test;
+    ASSERT_EQ(ca.has_value(), cb.has_value()) << where << " curvature";
+    if (ca) {
+      EXPECT_EQ(ca->curvature, cb->curvature) << where << " curvature";
+      EXPECT_EQ(ca->p_value, cb->p_value) << where << " curvature";
+    }
+  }
+}
+
+void expect_same_tails(const IntervalTails& a, const IntervalTails& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.sessions, b.sessions) << where;
+  expect_same_tail(a.length, b.length, where + " length");
+  expect_same_tail(a.requests, b.requests, where + " requests");
+  expect_same_tail(a.bytes, b.bytes, where + " bytes");
+}
+
 void expect_bit_identical(const FullWebModel& a, const FullWebModel& b) {
   // Exact comparisons on purpose: the contract is bitwise equality, not
   // numerical closeness.
@@ -87,20 +122,9 @@ void expect_bit_identical(const FullWebModel& a, const FullWebModel& b) {
   for (const auto& [load, tails] : a.interval_tails) {
     const auto it = b.interval_tails.find(load);
     ASSERT_NE(it, b.interval_tails.end());
-    const auto& ta = tails;
-    const auto& tb = it->second;
-    EXPECT_EQ(ta.length.available, tb.length.available);
-    if (ta.length.llcd && tb.length.llcd)
-      EXPECT_EQ(ta.length.llcd->alpha, tb.length.llcd->alpha);
-    if (ta.length.curvature_pareto && tb.length.curvature_pareto)
-      EXPECT_EQ(ta.length.curvature_pareto->p_value,
-                tb.length.curvature_pareto->p_value);
-    if (ta.bytes.hill && tb.bytes.hill)
-      EXPECT_EQ(ta.bytes.hill->alpha, tb.bytes.hill->alpha);
+    expect_same_tails(tails, it->second, weblog::to_string(load));
   }
-
-  if (a.week_tails.length.llcd && b.week_tails.length.llcd)
-    EXPECT_EQ(a.week_tails.length.llcd->alpha, b.week_tails.length.llcd->alpha);
+  expect_same_tails(a.week_tails, b.week_tails, "week");
 
   ASSERT_EQ(a.errors.has_value(), b.errors.has_value());
   if (a.errors) {
@@ -113,14 +137,24 @@ TEST(FullWebDeterminism, SerialAndParallelAreBitIdentical) {
   const Fit serial = fit_with_threads(1);
   const Fit parallel = fit_with_threads(8);
   expect_bit_identical(serial.model, parallel.model);
-  // The rendered report covers every numeric field at full printed
-  // precision — the cheapest whole-model equality check we have.
+  // The rendered report covers the printed fields at full printed precision
+  // (curvature p-values are not printed; expect_bit_identical compares them).
   EXPECT_EQ(serial.report, parallel.report);
+  // The fixture must exercise the optional estimates, or their presence
+  // checks compare nothing.
+  const auto& week = serial.model.week_tails;
+  for (const TailAnalysis* t : {&week.length, &week.requests, &week.bytes}) {
+    EXPECT_TRUE(t->llcd.has_value());
+    EXPECT_TRUE(t->hill.has_value());
+    EXPECT_TRUE(t->curvature_pareto.has_value());
+    EXPECT_TRUE(t->curvature_lognormal.has_value());
+  }
 }
 
 TEST(FullWebDeterminism, RepeatedParallelRunsAgree) {
   const Fit first = fit_with_threads(8);
   const Fit second = fit_with_threads(8);
+  expect_bit_identical(first.model, second.model);
   EXPECT_EQ(first.report, second.report);
 }
 

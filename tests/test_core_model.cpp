@@ -76,7 +76,9 @@ TEST(TailAnalysis, LightTailNotHeavy) {
   TailAnalysisOptions opts;
   opts.run_curvature = false;
   const auto t = analyze_tail(xs, rng, opts);
-  if (t.available && t.llcd.has_value()) EXPECT_FALSE(t.heavy_tailed());
+  if (t.available && t.llcd.has_value()) {
+    EXPECT_FALSE(t.heavy_tailed());
+  }
 }
 
 TEST(ArrivalAnalysis, LrdSeriesDetected) {
@@ -138,8 +140,9 @@ TEST(FullWebModel, AssemblesOnSyntheticDay) {
   // Request-level Poisson must be rejected (bursty LRD arrivals).
   ASSERT_EQ(m.request_poisson.size(), 3U);
   for (const auto& [load, battery] : m.request_poisson) {
-    if (battery.available && battery.any_ran())
+    if (battery.available && battery.any_ran()) {
       EXPECT_FALSE(battery.poisson_all()) << to_string(load);
+    }
   }
 
   // The report renders without crashing and mentions the server.

@@ -39,8 +39,9 @@ TEST(EdgeInputs, HurstSuiteOnConstantSeriesHasNoNanEstimates) {
   // or return a finite value, but never NaN/inf.
   for (const auto& est : suite.estimates) {
     EXPECT_TRUE(std::isfinite(est.h)) << lrd::to_string(est.method);
-    if (est.ci95_halfwidth)
+    if (est.ci95_halfwidth) {
       EXPECT_TRUE(std::isfinite(*est.ci95_halfwidth)) << lrd::to_string(est.method);
+    }
   }
 }
 

@@ -1,10 +1,9 @@
 // 1-vs-8-thread bit-identity for the kernels the scaling campaign
 // parallelized: the Downey curvature Monte Carlo (per-replicate RngSplitter
-// micro-streams), the wavelet transform behind Abry-Veitch (chunked
-// per-level convolutions), the FFT-backed periodogram (chunked butterfly
-// stages), and make_stationary (raw KPSS overlapped with the periodogram
-// band scan). Every comparison is exact (==, not near): the contract is that
-// an executor changes throughput, never bits. This suite also runs under the
+// micro-streams), the FFT-backed periodogram (chunked butterfly stages), and
+// make_stationary (raw KPSS overlapped with the periodogram band scan).
+// Every comparison is exact (==, not near): the contract is that an
+// executor changes throughput, never bits. This suite also runs under the
 // tsan_determinism gate, where the same assertions double as race detectors.
 #include <gtest/gtest.h>
 
@@ -14,13 +13,11 @@
 #include <vector>
 
 #include "core/stationary.h"
-#include "lrd/abry_veitch.h"
 #include "stats/distributions.h"
 #include "stats/periodogram.h"
 #include "support/executor.h"
 #include "support/rng.h"
 #include "tail/curvature.h"
-#include "timeseries/wavelet.h"
 
 namespace {
 
@@ -91,49 +88,6 @@ TEST(KernelDeterminism, CurvatureLognormalNullAlsoBitIdentical) {
   };
   const double serial = run(1);
   EXPECT_EQ(run(8), serial);
-}
-
-TEST(KernelDeterminism, DwtBitIdenticalAcrossThreadCounts) {
-  // Large enough that the transform actually chunks (kBlock = 16384).
-  const auto xs = walk_series(std::size_t{1} << 16, 303);
-  support::Executor one(1);  // dwt's null means the global pool, so pin it
-  const auto serial =
-      timeseries::dwt(xs, timeseries::WaveletKind::kD4, 4, &one);
-  for (std::size_t threads : {2u, 8u}) {
-    support::Executor ex(threads);
-    const auto parallel =
-        timeseries::dwt(xs, timeseries::WaveletKind::kD4, 4, &ex);
-    ASSERT_EQ(parallel.octaves(), serial.octaves()) << threads;
-    for (std::size_t j = 0; j < serial.octaves(); ++j) {
-      ASSERT_EQ(parallel.details[j].size(), serial.details[j].size());
-      for (std::size_t k = 0; k < serial.details[j].size(); ++k)
-        ASSERT_EQ(parallel.details[j][k], serial.details[j][k])
-            << "octave " << j + 1 << " coeff " << k << " threads " << threads;
-    }
-    ASSERT_EQ(parallel.final_approximation, serial.final_approximation);
-  }
-}
-
-TEST(KernelDeterminism, AbryVeitchBitIdenticalAcrossThreadCounts) {
-  const auto xs = walk_series(std::size_t{1} << 16, 404);
-  lrd::AbryVeitchOptions serial_opts;
-  support::Executor serial_ex(1);
-  serial_opts.executor = &serial_ex;
-  const auto serial = lrd::abry_veitch_hurst(xs, serial_opts);
-  ASSERT_TRUE(serial.ok());
-  for (std::size_t threads : {2u, 8u}) {
-    support::Executor ex(threads);
-    lrd::AbryVeitchOptions opts;
-    opts.executor = &ex;
-    const auto parallel = lrd::abry_veitch_hurst(xs, opts);
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(parallel.value().estimate.h, serial.value().estimate.h)
-        << threads;
-    EXPECT_EQ(parallel.value().log2_energy, serial.value().log2_energy)
-        << threads;
-    EXPECT_EQ(parallel.value().weight, serial.value().weight) << threads;
-    EXPECT_EQ(parallel.value().octaves, serial.value().octaves) << threads;
-  }
 }
 
 TEST(KernelDeterminism, PeriodogramBitIdenticalAcrossThreadCounts) {

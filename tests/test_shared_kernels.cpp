@@ -638,7 +638,9 @@ TEST(SuiteSharing, SuiteBitIdenticalAcrossExecutorWidths) {
     const auto& ca = ra.estimates[i].ci95_halfwidth;
     const auto& cb = rb.estimates[i].ci95_halfwidth;
     ASSERT_EQ(ca.has_value(), cb.has_value());
-    if (ca) EXPECT_EQ(bits(*ca), bits(*cb));
+    if (ca) {
+      EXPECT_EQ(bits(*ca), bits(*cb));
+    }
   }
 }
 

@@ -25,8 +25,8 @@ TEST(NormalQuantile, InvertsCdf) {
 }
 
 TEST(NormalQuantile, RejectsBoundaries) {
-  EXPECT_THROW(normal_quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(normal_quantile(1.0), std::invalid_argument);
+  EXPECT_THROW((void)normal_quantile(0.0), std::invalid_argument);
+  EXPECT_THROW((void)normal_quantile(1.0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- Pareto

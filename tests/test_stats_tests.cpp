@@ -175,7 +175,7 @@ TEST(AndersonDarling, ErrorsOnTinyOrInvalidSamples) {
 TEST(AndersonDarling, CriticalValueTable) {
   EXPECT_DOUBLE_EQ(ad_exponential_critical(0.05), 1.341);
   EXPECT_DOUBLE_EQ(ad_exponential_critical(0.01), 1.957);
-  EXPECT_THROW(ad_exponential_critical(0.2), std::invalid_argument);
+  EXPECT_THROW((void)ad_exponential_critical(0.2), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- Binomial
@@ -274,8 +274,8 @@ TEST(Trigamma, RecurrenceHolds) {
 }
 
 TEST(Special, RejectNonPositive) {
-  EXPECT_THROW(digamma(0.0), std::invalid_argument);
-  EXPECT_THROW(trigamma(-1.0), std::invalid_argument);
+  EXPECT_THROW((void)digamma(0.0), std::invalid_argument);
+  EXPECT_THROW((void)trigamma(-1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -153,9 +153,10 @@ TEST(StoreColumnar, CompressesSortedSecondQuantizedTimes) {
   auto info = fullweb::store::write_columnar(ds.value(), path);
   ASSERT_TRUE(info.ok()) << info.error().message;
   for (const auto& col : info.value().columns) {
-    if (col.name == "req_time")
+    if (col.name == "req_time") {
       EXPECT_LT(col.payload_bytes, 20000u * 3u)
           << "delta+varint should beat 8 bytes/timestamp by far";
+    }
   }
   auto back = fullweb::store::read_columnar(path);
   ASSERT_TRUE(back.ok()) << back.error().message;

@@ -17,9 +17,12 @@
 //
 //   bench_compare --min-speedup 2.5 --name fullweb_fit/threads:4 RESULTS.json
 //
-// reads the "speedup" field bench_parallel_scaling writes per benchmark and
-// exits 1 when any matching row is below the floor — or when no row matches
-// at all, so a renamed benchmark cannot silently disarm the gate.
+// reads the "speedup" field the benches write per measured row and exits 1
+// when any matching row is below the floor — or when no row matches at all,
+// so a renamed benchmark cannot silently disarm the gate. A matching row
+// without a speedup was not measured (bench_parallel_scaling at a thread
+// count above the host's); when every matching row is like that, the tool
+// prints SKIPPED and exits 77, ctest's SKIP_RETURN_CODE for the gate.
 //
 // A third mode audits committed baselines for build type:
 //
@@ -144,6 +147,7 @@ int main(int argc, char** argv) {
                                                  name_filter)
                    .c_str(),
                stdout);
+    if (report.value().skipped()) return 77;
     return report.value().failed() ? 1 : 0;
   }
 

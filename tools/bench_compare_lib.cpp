@@ -123,17 +123,15 @@ Result<SpeedupReport> check_min_speedup(const std::string& text,
     if (name.empty()) continue;
     if (!name_filter.empty() && name.find(name_filter) == std::string::npos)
       continue;
-    const JsonValue* speedup_v = entry.find("speedup");
-    const auto speedup = speedup_v ? speedup_v->number() : std::nullopt;
-    if (!speedup) continue;
     SpeedupRow row;
     row.name = name;
-    row.speedup = *speedup;
-    if (const JsonValue* src = entry.find("speedup_source"))
-      row.source = src->string().value_or("");
-    row.pass = row.speedup >= min_speedup;
-    ++report.checked;
-    if (!row.pass) ++report.failures;
+    if (const JsonValue* speedup_v = entry.find("speedup"))
+      row.speedup = speedup_v->number();
+    if (row.speedup) {
+      row.pass = *row.speedup >= min_speedup;
+      ++report.checked;
+      if (!row.pass) ++report.failures;
+    }
     report.rows.push_back(std::move(row));
   }
   return report;
@@ -143,21 +141,30 @@ std::string render_speedup(const SpeedupReport& report, double min_speedup,
                            const std::string& name_filter) {
   std::string out;
   char line[256];
-  std::snprintf(line, sizeof line, "%-40s %10s %10s  %s\n", "benchmark",
-                "speedup", "source", "verdict");
+  std::snprintf(line, sizeof line, "%-40s %10s  %s\n", "benchmark", "speedup",
+                "verdict");
   out += line;
   for (const SpeedupRow& row : report.rows) {
-    std::snprintf(line, sizeof line, "%-40s %9.2fx %10s  %s\n",
-                  row.name.c_str(), row.speedup,
-                  row.source.empty() ? "-" : row.source.c_str(),
-                  row.pass ? "ok" : "BELOW FLOOR");
+    if (row.speedup) {
+      std::snprintf(line, sizeof line, "%-40s %9.2fx  %s\n", row.name.c_str(),
+                    *row.speedup, row.pass ? "ok" : "BELOW FLOOR");
+    } else {
+      std::snprintf(line, sizeof line, "%-40s %10s  not measured\n",
+                    row.name.c_str(), "-");
+    }
     out += line;
   }
-  if (report.checked == 0) {
-    std::snprintf(line, sizeof line,
-                  "no benchmarks matching \"%s\" carry a speedup field\n",
+  if (report.rows.empty()) {
+    std::snprintf(line, sizeof line, "no benchmarks matching \"%s\"\n",
                   name_filter.c_str());
     out += line;
+  } else if (report.skipped()) {
+    std::snprintf(line, sizeof line,
+                  "\nSKIPPED: benchmarks matching \"%s\" not measured on this "
+                  "host\n",
+                  name_filter.c_str());
+    out += line;
+    return out;
   }
   std::snprintf(line, sizeof line,
                 "\n%d/%d benchmark(s) at or above %.2fx; %d below\n",

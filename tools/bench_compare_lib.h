@@ -10,6 +10,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,33 +70,39 @@ struct CompareReport {
 // ---------------------------------------------------------------------------
 // --min-speedup mode: absolute floor on a single result file
 //
-// bench_parallel_scaling emits a "speedup" field per benchmark (plus
-// "speedup_source": measured on hosts with enough cores, span-tree modeled
-// otherwise). This gate checks those speedups against a floor instead of
-// diffing two files — the scaling equivalent of the regression threshold.
+// The benches emit a "speedup" field on each row whose ratio they measured
+// on the host that ran them; bench_parallel_scaling leaves it off a thread
+// count the host cannot run at once. This gate checks those speedups
+// against a floor instead of diffing two files — the scaling equivalent of
+// the regression threshold.
 
 struct SpeedupRow {
   std::string name;
-  double speedup = 0.0;
-  std::string source;  ///< "measured" / "modeled" / "" when unlabeled
+  std::optional<double> speedup;  ///< absent = not measured
   bool pass = false;
 };
 
 struct SpeedupReport {
   std::vector<SpeedupRow> rows;  ///< every matching benchmark, file order
-  int checked = 0;
+  int checked = 0;               ///< matching rows with a speedup
   int failures = 0;
 
+  /// Every matching row lacks a speedup: nothing measured to gate, so the
+  /// CLI reports SKIPPED (exit 77) rather than a verdict.
+  [[nodiscard]] bool skipped() const noexcept {
+    return !rows.empty() && checked == 0;
+  }
   /// Exit policy: zero matching rows also fails — a rename or a dropped
   /// bench must not silently shrink the gate.
   [[nodiscard]] bool failed() const noexcept {
-    return failures > 0 || checked == 0;
+    return failures > 0 || rows.empty();
   }
 };
 
 /// Check every benchmark whose name contains `name_filter` (all rows when
-/// empty) and that carries a "speedup" field against the floor. Text is the
-/// JSON document contents; errors mirror parse_results.
+/// empty) against the floor; a matching row without a "speedup" field is
+/// listed as not measured. Text is the JSON document contents; errors
+/// mirror parse_results.
 [[nodiscard]] support::Result<SpeedupReport> check_min_speedup(
     const std::string& text, double min_speedup,
     const std::string& name_filter);
