@@ -9,8 +9,8 @@
 //     analyze_fleet at 1 and --threads workers, over --shards synthetic
 //     servers (trimmed fit options, matching the fleet_determinism gate).
 //
-// Output is bench_compare-compatible JSON (a "benchmarks" array whose
-// entries carry "speedup" fields):
+// Output is the JSON the bench_compare gates read (a "benchmarks" array
+// whose entries carry "speedup" fields):
 //
 //   bench_fleet --json-out BENCH_fleet.json
 //   bench_compare --min-speedup 3 --name columnar BENCH_fleet.json
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   flags.define("shard-scale", "0.5", "per-shard volume scale");
   flags.define("threads", "8", "parallel executor width for the fleet fit");
   flags.define("reps", "5", "repetitions per timing (median reported)");
-  flags.define("json-out", "BENCH_fleet.json", "bench_compare-compatible output");
+  flags.define("json-out", "BENCH_fleet.json", "results JSON for bench_compare");
   if (!flags.parse(argc, argv)) return 2;
 
   const auto reps = static_cast<std::size_t>(flags.get_int("reps"));

@@ -19,7 +19,7 @@
 //                                mismatch exits nonzero
 //
 // end_to_end is the sum of the stages a cold reproduction actually runs
-// (CLF ingest + fit + validation). Output is bench_compare-compatible JSON:
+// (CLF ingest + fit + validation). Output is the JSON bench_compare gates:
 //
 //   bench_fullscale --scale 1.0 --json-out BENCH_fullscale.json
 //   bench_compare --min-speedup 2 --name parse_fast BENCH_fullscale.json
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   flags.define("threads", "1", "executor width for ingest and model fit");
   flags.define("reps", "3", "repetitions per ingest/parse timing (median)");
   flags.define("json-out", "BENCH_fullscale.json",
-               "bench_compare-compatible output");
+               "results JSON for bench_compare");
   if (!flags.parse(argc, argv)) return 2;
 
   const auto reps = static_cast<std::size_t>(flags.get_int("reps"));

@@ -15,7 +15,7 @@
 // holds on any host; it grows with stream length because the batch side is
 // O(checkpoints * stream) while the online side is bounded by the window.
 //
-// Output is bench_compare-compatible JSON:
+// Output is the JSON bench_compare gates:
 //
 //   bench_online --json-out BENCH_online.json
 //   bench_compare --min-speedup 2 --name online_vs_batch BENCH_online.json
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   flags.define("checkpoints", "16", "estimate points along the stream");
   flags.define("reps", "3", "repetitions per timing (median reported)");
   flags.define("json-out", "BENCH_online.json",
-               "bench_compare-compatible output");
+               "results JSON for bench_compare");
   if (!flags.parse(argc, argv)) return 2;
 
   const auto reps = static_cast<std::size_t>(flags.get_int("reps"));

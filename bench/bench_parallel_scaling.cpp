@@ -81,8 +81,7 @@ int main(int argc, char** argv) {
   flags.define("max-threads", "8",
                "highest thread count in the 1,4,8,.. sweep (0 = hardware)");
   flags.define("json-out", "BENCH_scaling.json",
-               "machine-readable results file, bench_compare-compatible "
-               "(empty = skip)");
+               "results JSON for bench_compare (empty = skip)");
   flags.define("timings-json", "",
                "dump a timed 1-thread fit's stage span tree to this file "
                "(empty = skip)");
@@ -177,9 +176,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Machine-readable mirror of the table, shaped like google-benchmark JSON
-  // so tools/bench_compare can gate it (--min-speedup) or diff it against a
-  // committed baseline.
+  // Machine-readable mirror of the table, in the result-file shape
+  // tools/bench_compare gates (--min-speedup).
   const std::string json_path = flags.get("json-out");
   if (!json_path.empty()) {
     support::JsonWriter w;

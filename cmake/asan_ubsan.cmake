@@ -4,7 +4,9 @@
 # CMakeLists.txt). Configures a nested build of the same source tree with
 # FULLWEB_SANITIZE=address,undefined, builds only the targets that exercise
 # parsers, workspace reuse, and the validation harness, and runs them. Any
-# report aborts the test (halt_on_error=1, -fno-sanitize-recover).
+# report aborts the test (halt_on_error=1, -fno-sanitize-recover). The build
+# also treats warnings as errors (FULLWEB_WERROR), so a new compiler warning
+# in the libraries or these tests fails the gate.
 #
 # Expected -D variables: SOURCE_DIR, BUILD_DIR, GENERATOR, CXX_COMPILER.
 
@@ -22,6 +24,7 @@ execute_process(
     -DCMAKE_CXX_COMPILER=${CXX_COMPILER}
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
     "-DFULLWEB_SANITIZE=address,undefined"
+    -DFULLWEB_WERROR=ON
     -DFULLWEB_TSAN_CHECK=OFF
     -DFULLWEB_ASAN_UBSAN_CHECK=OFF
   RESULT_VARIABLE rc)
@@ -29,7 +32,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "[asan] configure failed (${rc})")
 endif()
 
-# Parsers (weblog, bench_compare JSON, the binary columnar decoder with
+# Parsers (weblog, the shared JSON reader, the binary columnar decoder with
 # its corruption corpus), workspace arena reuse, the tail kernels that
 # recycle arenas across replicates, and the validation harness (edge
 # inputs + Monte Carlo fan-out) are where lifetime/UB bugs would live.

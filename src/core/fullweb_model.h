@@ -79,7 +79,7 @@ struct FullWebOptions {
   ErrorAnalysisOptions errors;
 
   /// Task executor for the whole pipeline (null = the global pool). Also
-  /// used for nested fan-outs (Hurst suites, curvature, bootstrap) unless
+  /// used for nested fan-outs (Hurst suites, curvature) unless
   /// those sub-options name their own executor.
   support::Executor* executor = nullptr;
   /// Optional per-branch wall-clock observer (see support/timing.h).

@@ -65,17 +65,12 @@ HurstSuiteResult hurst_suite(std::span<const double> xs,
   support::StageTimer pm_timer(options.timings, "prefix moments");
   const stats::PrefixMoments pm(xs);
   pm_timer.stop();
-  std::span<const double> input = xs;
-  if (!stats::is_pow2(input.size()) && input.size() > 1) {
-    std::size_t p = 1;
-    while (p * 2 <= input.size()) p *= 2;
-    input = input.subspan(0, p);
-  }
   support::Executor& ex = support::Executor::resolve(options.executor);
   // The shared FFT is serial work every estimator waits behind — chunk its
   // stages on the pool before the fan-out.
   support::StageTimer pg_timer(options.timings, "shared periodogram");
-  const stats::Periodogram pg = stats::periodogram(input, &ex);
+  const stats::Periodogram pg =
+      stats::periodogram(stats::pow2_prefix(xs), &ex);
   pg_timer.stop();
 
   // Fixed battery order: fills the result slots concurrently, then collects

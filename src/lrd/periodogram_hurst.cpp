@@ -49,15 +49,7 @@ Result<HurstEstimate> periodogram_hurst_pg(
 
 Result<HurstEstimate> periodogram_hurst(std::span<const double> xs,
                                         const PeriodogramHurstOptions& options) {
-  // Power-of-two truncation keeps the FFT on the radix-2 fast path (see the
-  // same trade-off note in whittle_hurst).
-  std::span<const double> input = xs;
-  if (!stats::is_pow2(input.size()) && input.size() > 1) {
-    std::size_t p = 1;
-    while (p * 2 <= input.size()) p *= 2;
-    input = input.subspan(0, p);
-  }
-  const auto pg = stats::periodogram(input);
+  const auto pg = stats::periodogram(stats::pow2_prefix(xs));
   return periodogram_hurst_pg(pg, options);
 }
 

@@ -463,17 +463,7 @@ Result<WhittleResult> whittle_hurst(std::span<const double> xs,
   if (xs.size() < options.min_samples)
     return Error::insufficient_data("whittle_hurst: series too short");
 
-  // Truncate to the largest power-of-two length: keeps the periodogram on
-  // the radix-2 FFT fast path (Bluestein on week-length series costs ~5x)
-  // at the price of discarding at most half — in practice < 15% — of the
-  // newest samples.
-  std::span<const double> input = xs;
-  if (!stats::is_pow2(input.size())) {
-    std::size_t p = 1;
-    while (p * 2 <= input.size()) p *= 2;
-    input = input.subspan(0, p);
-  }
-  const auto pg = stats::periodogram(input);
+  const auto pg = stats::periodogram(stats::pow2_prefix(xs));
   return whittle_hurst_pg(pg, options);
 }
 

@@ -20,7 +20,7 @@ std::vector<double> acf(std::span<const double> xs, std::size_t max_lag) {
   // Autocovariance via FFT: pad to >= 2n to avoid circular wrap-around.
   // The padded length is a power of two, so the forward transform takes the
   // packed real-input path; both buffers are per-thread scratch, so repeated
-  // same-length calls (estimator sweeps, bootstrap) do not reallocate.
+  // same-length calls (estimator sweeps) do not reallocate.
   const std::size_t padded = next_pow2(2 * n);
   auto& arena = support::Workspace::for_thread();
   auto& staged = arena.real(support::ws::kFftStage);

@@ -13,10 +13,11 @@
 // twiddle tables for the radix-2 path, and for Bluestein lengths the chirp
 // table plus the pre-transformed chirp spectrum per direction. Plans live in
 // a process-wide mutex-guarded LRU (support::LruCache), so repeated
-// same-length transforms — ACF sweeps, periodogram batches, bootstrap
-// replicates, fGn Monte-Carlo draws — pay the setup cost once.
+// same-length transforms — ACF sweeps, periodogram batches, fGn
+// Monte-Carlo draws — pay the setup cost once.
 #pragma once
 
+#include <bit>
 #include <complex>
 #include <cstdint>
 #include <memory>
@@ -113,5 +114,15 @@ void fft_real(std::span<const double> xs,
 
 /// True if n is a power of two (n >= 1).
 [[nodiscard]] bool is_pow2(std::size_t n) noexcept;
+
+/// The longest power-of-two-length prefix of xs (xs itself when its size is
+/// 0, 1 or a power of two). The Hurst estimators truncate their periodogram
+/// input this way: a power-of-two length keeps the FFT on the radix-2 fast
+/// path (Bluestein on a week-length series costs ~5x) at the price of
+/// discarding at most half — in practice < 15% — of the newest samples.
+[[nodiscard]] inline std::span<const double> pow2_prefix(
+    std::span<const double> xs) noexcept {
+  return xs.first(std::bit_floor(xs.size()));
+}
 
 }  // namespace fullweb::stats

@@ -3,7 +3,7 @@
 //
 // The FULL-Web pipeline is embarrassingly parallel at every layer — five
 // independent Hurst estimators, Poisson batteries over three intervals,
-// three tail analyses per interval, hundreds of bootstrap resamples — so
+// three tail analyses per interval, hundreds of curvature replicates — so
 // one pool sized to the machine runs the whole task graph. Design points:
 //
 //  * Per-worker deques plus a shared injection queue. Workers pop their own

@@ -9,6 +9,8 @@ namespace fullweb::support {
 
 namespace {
 
+constexpr std::size_t kMaxDepth = 256;
+
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
@@ -49,8 +51,15 @@ class JsonParser {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Each container level is a recursion frame: bound the depth so
+      // hostile input is malformed instead of a stack overflow.
+      if (depth_ == kMaxDepth) return std::nullopt;
+      ++depth_;
+      auto value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') {
       auto s = parse_string();
       if (!s) return std::nullopt;
@@ -146,6 +155,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Minimal JSON reading and writing shared by the offline tooling.
 //
-// The reader is the recursive-descent parser bench_compare grew for
-// google-benchmark result files, promoted here so the validation report
-// drift checker (tools/fullweb_selftest --baseline) and the bench comparison
-// library parse the same dialect: objects, arrays, strings, numbers, bools,
-// null; unknown fields are simply carried along. It is not a general
-// standards-lawyer JSON library — \uXXXX escapes are preserved verbatim
-// rather than decoded, and numbers are doubles.
+// The reader is one recursive-descent parser shared by the validation
+// report drift checker (tools/fullweb_selftest --baseline) and the
+// bench_compare gates over the perf drivers' result files, so both read the
+// same dialect: objects, arrays, strings, numbers, bools, null; unknown
+// fields are simply carried along. It is not a general standards-lawyer
+// JSON library — \uXXXX escapes are preserved verbatim rather than
+// decoded, and numbers are doubles.
 //
 // The writer produces deterministic output: keys in the order written,
 // doubles via shortest round-trip formatting, fixed two-space indentation —
@@ -65,8 +65,9 @@ struct JsonValue {
   }
 };
 
-/// Parse a complete JSON document. Returns nullopt on any syntax error or
-/// trailing garbage.
+/// Parse a complete JSON document. Returns nullopt on any syntax error,
+/// trailing garbage, or containers nested deeper than 256 levels (the
+/// documents fullweb writes nest 4).
 [[nodiscard]] std::optional<JsonValue> json_parse(const std::string& text);
 
 /// Serialize a double the way the writer does: shortest representation that

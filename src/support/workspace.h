@@ -2,11 +2,11 @@
 //
 // The spectral and tail paths used to allocate (and fault in) large buffers
 // on every call: the FFT padded to 2n, the Bluestein convolution scratch,
-// one resample vector per bootstrap replicate, a sorted copy per Hill/LLCD
+// one sample vector per curvature replicate, a sorted copy per Hill/LLCD
 // fit. Workspace keeps one buffer per (thread, slot) and lets those kernels
 // reuse it: capacity survives across calls, so steady-state sweeps
-// (bootstrap CIs, Monte-Carlo validation, periodogram sweeps) stop paying
-// the allocator.
+// (curvature Monte-Carlo, validation replicates, periodogram sweeps) stop
+// paying the allocator.
 //
 // Ownership contract (enforced by convention, documented in DESIGN.md §5.6):
 //   - a slot has exactly one owning kernel along any call chain, so a caller
@@ -54,10 +54,9 @@ class Workspace {
 /// above before adding a user.
 namespace ws {
 // real() slots
-inline constexpr std::size_t kBootstrapResample = 0;  ///< tail::bootstrap_ci replicate resample
-inline constexpr std::size_t kTailSorted = 1;         ///< tail::hill_plot / llcd_fit positive-sample buffer
-inline constexpr std::size_t kCurvatureSample = 2;    ///< tail::curvature_test MC replicate sample
-inline constexpr std::size_t kFftStage = 4;           ///< stats::acf / periodogram real input staging
+inline constexpr std::size_t kTailSorted = 1;       ///< tail::hill_plot / llcd_fit positive-sample buffer
+inline constexpr std::size_t kCurvatureSample = 2;  ///< tail::curvature_test MC replicate sample
+inline constexpr std::size_t kFftStage = 4;         ///< stats::acf / periodogram real input staging
 // cplx() slots
 inline constexpr std::size_t kSpectrum = 0;      ///< stats::acf / periodogram spectrum buffer
 inline constexpr std::size_t kRealFftHalf = 1;   ///< stats::fft_real packed half-length buffer

@@ -124,8 +124,8 @@ Result<CurvatureResult> curvature_test(std::span<const double> xs,
       0, options.replicates,
       [&](std::size_t rep) {
         support::Rng& replicate_rng = replicate_rngs[rep];
-        // Per-worker reusable sample buffer (the bootstrap.cpp pattern):
-        // every element is overwritten before the fit reads it.
+        // Per-worker reusable sample buffer: every element is overwritten
+        // before the fit reads it.
         auto& sample = support::Workspace::for_thread().real(
             support::ws::kCurvatureSample);
         sample.resize(n);

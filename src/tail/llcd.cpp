@@ -84,8 +84,8 @@ Result<LlcdFit> llcd_fit(std::span<const double> xs, const LlcdOptions& options)
   }
 
   // Sorted positive samples (for quantile-based thetas) live in per-thread
-  // scratch: bootstrap replicates re-fit at a fixed sample size, so the
-  // buffer is sorted in place with no per-replicate allocation.
+  // scratch: Monte-Carlo validation replicates re-fit at a fixed sample
+  // size, so the buffer is sorted in place with no per-replicate allocation.
   auto& positive = support::Workspace::for_thread().real(support::ws::kTailSorted);
   positive.clear();
   positive.reserve(xs.size());

@@ -2,7 +2,7 @@
 //
 // Fans `replicates` independent draws out on the Executor, giving replicate
 // b the b-th leaf substream of a caller-provided RngSplitter — the same
-// pattern tail::bootstrap_ci uses — and collecting results into a slot
+// pattern tail::curvature_test uses — and collecting results into a slot
 // vector indexed by replicate. Because stream(b) is a pure function of the
 // splitter base and results are written by index, a run is bit-identical at
 // any thread count, which is what lets the selftest gate "1 thread == 8

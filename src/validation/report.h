@@ -7,8 +7,8 @@
 // documents and compares every numeric/boolean/string leaf by path, so a
 // kernel change that silently biases an estimator shows up as a named
 // drifted metric even while all gates still pass. Baseline leaves missing
-// from the fresh report fail the check (bench_compare's missing-key rule);
-// fresh-only leaves are informational.
+// from the fresh report fail the check, so a renamed or dropped metric
+// cannot shrink it; fresh-only leaves are informational.
 #pragma once
 
 #include <string>

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "lrd/variance_time.h"
 #include "online/analyzer.h"
 #include "stats/kpss.h"
@@ -167,7 +169,10 @@ class OnlineAnalyzerFiles : public ::testing::Test {
 
   std::string write_file(const std::string& name,
                          const std::vector<std::string>& lines) {
-    const std::string path = "/tmp/fullweb_online_" + name + ".log";
+    // The pid keeps concurrent runs of this binary (the plain, TSan and
+    // ASan ctest entries) from deleting each other's files.
+    const std::string path = "/tmp/fullweb_online_" + name + "_" +
+                             std::to_string(::getpid()) + ".log";
     std::ofstream os(path, std::ios::binary);
     for (const auto& l : lines) os << l << "\n";
     files_.push_back(path);

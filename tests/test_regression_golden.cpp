@@ -4,10 +4,10 @@
 // scratch arenas must be bit-transparent: a cache hit, a cache miss, a
 // reused buffer, and any executor width must all produce the same doubles
 // to the last bit. These tests pin exact 64-bit patterns (captured on the
-// reference build) for fGn draws, a Whittle Hurst estimate, and a bootstrap
-// Hill CI, and additionally compare hit-vs-miss and 1-vs-8-thread runs
-// directly. If an "optimization" ever changes a bit here, it changed
-// results, not just speed.
+// reference build) for fGn draws, a Whittle Hurst estimate, and a Hill
+// estimate, and additionally compare cache hit-vs-miss runs directly. If an
+// "optimization" ever changes a bit here, it changed results, not just
+// speed.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,9 +16,8 @@
 
 #include "lrd/whittle.h"
 #include "stats/distributions.h"
-#include "support/executor.h"
 #include "support/rng.h"
-#include "tail/bootstrap.h"
+#include "tail/hill.h"
 #include "timeseries/fgn.h"
 
 namespace fullweb {
@@ -33,9 +32,7 @@ constexpr std::uint64_t kFgn1 = 0x3fed3c49a52fbf4aULL;   // 0.91360933554640522
 constexpr std::uint64_t kFgn31 = 0x3fd87e919fb3fcb8ULL;  // 0.38272514911654865
 constexpr std::uint64_t kFgn63 = 0xbfba6d9737241640ULL;  // -0.10323472114767984
 constexpr std::uint64_t kWhittleH = 0x3fe9b20b6eca457cULL;    // 0.80298396719642500
-constexpr std::uint64_t kCiEstimate = 0x3ff67221eea3b287ULL;  // 1.4028643915036427
-constexpr std::uint64_t kCiLo = 0x3ff3ab2fa05ef95dULL;        // 1.2292934669963735
-constexpr std::uint64_t kCiHi = 0x3ff97192bdfe1a63ULL;        // 1.5902278348527481
+constexpr std::uint64_t kHillAlpha = 0x3ff67221eea3b287ULL;   // 1.4028643915036427
 
 std::vector<double> draw_fgn(std::size_t n, double h, std::uint64_t seed) {
   support::Rng rng(seed);
@@ -75,39 +72,15 @@ TEST(GoldenWhittle, EstimateMatchesReferenceBits) {
   EXPECT_EQ(bits(wh.value().estimate.h), kWhittleH);
 }
 
-class GoldenBootstrap : public ::testing::Test {
- protected:
-  tail::BootstrapCi run(std::size_t threads) {
-    const stats::Pareto dist(1.4, 1.0);
-    support::Rng sample_rng(77);
-    std::vector<double> xs(2000);
-    for (auto& x : xs) x = dist.sample(sample_rng);
-    support::Executor ex(threads);
-    tail::BootstrapOptions opts;
-    opts.replicates = 50;
-    opts.executor = &ex;
-    support::Rng rng(5);
-    auto ci = tail::bootstrap_hill_ci(xs, rng, opts);
-    EXPECT_TRUE(ci.ok());
-    return ci.ok() ? ci.value() : tail::BootstrapCi{};
-  }
-};
-
-TEST_F(GoldenBootstrap, SerialMatchesReferenceBits) {
-  const auto ci = run(1);
-  EXPECT_EQ(bits(ci.estimate), kCiEstimate);
-  EXPECT_EQ(bits(ci.lo), kCiLo);
-  EXPECT_EQ(bits(ci.hi), kCiHi);
-  EXPECT_EQ(ci.replicates_used, 49U);
-}
-
-TEST_F(GoldenBootstrap, EightThreadsBitIdenticalToSerial) {
-  const auto serial = run(1);
-  const auto parallel = run(8);
-  EXPECT_EQ(bits(serial.estimate), bits(parallel.estimate));
-  EXPECT_EQ(bits(serial.lo), bits(parallel.lo));
-  EXPECT_EQ(bits(serial.hi), bits(parallel.hi));
-  EXPECT_EQ(serial.replicates_used, parallel.replicates_used);
+TEST(GoldenHill, EstimateMatchesReferenceBits) {
+  const stats::Pareto dist(1.4, 1.0);
+  support::Rng rng(77);
+  std::vector<double> xs(2000);
+  for (auto& x : xs) x = dist.sample(rng);
+  auto hill = tail::hill_estimate(xs);
+  ASSERT_TRUE(hill.ok());
+  EXPECT_TRUE(hill.value().stabilized);
+  EXPECT_EQ(bits(hill.value().alpha), kHillAlpha);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
+#include <vector>
 
 #include "support/rng.h"
 
@@ -201,6 +203,18 @@ TEST(IsPow2, Classification) {
   EXPECT_FALSE(is_pow2(0));
   EXPECT_FALSE(is_pow2(3));
   EXPECT_FALSE(is_pow2(96));
+}
+
+TEST(Pow2Prefix, KeepsTheLongestPowerOfTwoPrefix) {
+  const std::vector<double> xs(1000, 1.0);
+  const std::span<const double> all(xs);
+  for (const auto& [n, kept] : {std::pair<std::size_t, std::size_t>{0, 0},
+                                {1, 1}, {2, 2}, {3, 2}, {512, 512},
+                                {1000, 512}}) {
+    const auto prefix = pow2_prefix(all.first(n));
+    EXPECT_EQ(prefix.data(), xs.data()) << "n=" << n;
+    EXPECT_EQ(prefix.size(), kept) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "support/rng.h"
 #include "synth/generator.h"
 #include "synth/profile.h"
@@ -23,8 +25,11 @@ using fullweb::weblog::Dataset;
 using fullweb::weblog::Request;
 using fullweb::weblog::Session;
 
+/// The pid keeps concurrent runs of this binary (the plain, TSan and ASan
+/// ctest entries) from overwriting each other's files.
 std::string temp_path(const std::string& tag) {
-  return "/tmp/fullweb_columnar_" + tag + ".fwc";
+  return "/tmp/fullweb_columnar_" + tag + "_" + std::to_string(::getpid()) +
+         ".fwc";
 }
 
 /// Bitwise double equality: NaN-safe and distinguishes -0.0 from +0.0,

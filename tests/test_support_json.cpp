@@ -1,7 +1,7 @@
 // Tests for the shared JSON reader/writer (support/json.h): parse shapes,
 // malformed-input rejection, deterministic writer output, and double
 // round-tripping — the properties the validation-report drift checker and
-// bench_compare both lean on.
+// the bench_compare gates both lean on.
 #include "support/json.h"
 
 #include <gtest/gtest.h>
@@ -57,6 +57,20 @@ TEST(JsonParse, RejectsMalformed) {
   EXPECT_FALSE(json_parse("nulll").has_value());
   EXPECT_FALSE(json_parse("1 2").has_value());  // trailing garbage
   EXPECT_FALSE(json_parse("'single'").has_value());
+}
+
+TEST(JsonParse, NestingDeeperThan256IsMalformed) {
+  // Each container level is one recursion frame; hostile depth must come
+  // back as malformed, not overflow the stack.
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(json_parse(arrays(256)).has_value());
+  EXPECT_FALSE(json_parse(arrays(257)).has_value());
+  EXPECT_FALSE(json_parse(std::string(1000000, '[')).has_value());
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(json_parse(objects).has_value());
 }
 
 TEST(JsonParse, LookupOnWrongTypesIsNull) {

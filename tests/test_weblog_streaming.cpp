@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "support/executor.h"
 #include "support/rng.h"
 #include "synth/generator.h"
@@ -87,7 +89,10 @@ class StreamingIngestTest : public ::testing::Test {
   std::string write_file(const std::string& name,
                          const std::vector<std::string>& lines,
                          const char* eol = "\n") {
-    const std::string path = "/tmp/fullweb_stream_" + name + ".log";
+    // The pid keeps concurrent runs of this binary (the plain, TSan and
+    // ASan ctest entries) from deleting each other's files.
+    const std::string path = "/tmp/fullweb_stream_" + name + "_" +
+                             std::to_string(::getpid()) + ".log";
     std::ofstream os(path, std::ios::binary);
     for (const auto& l : lines) os << l << eol;
     files_.push_back(path);
@@ -433,7 +438,8 @@ TEST_F(StreamingIngestTest, MissingTrailingNewlineAndCrlfHandled) {
       "10.0.0.1 - - [12/Jan/2004:08:30:00 +0000] \"GET /a HTTP/1.0\" 200 1";
   const std::string line2 =
       "10.0.0.2 - - [12/Jan/2004:08:30:05 +0000] \"GET /b HTTP/1.0\" 200 2";
-  const std::string path = "/tmp/fullweb_stream_nonl.log";
+  const std::string path =
+      "/tmp/fullweb_stream_nonl_" + std::to_string(::getpid()) + ".log";
   {
     std::ofstream os(path, std::ios::binary);
     os << line1 << "\r\n" << line2;  // CRLF + no trailing newline

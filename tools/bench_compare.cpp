@@ -1,19 +1,4 @@
-// bench_compare — diff two google-benchmark JSON result files and flag
-// regressions.
-//
-//   bench_compare BASELINE.json NEW.json [--threshold 0.10] [--metric real_time]
-//
-// Matches benchmarks by name, compares the chosen per-iteration time metric,
-// and prints one row per benchmark with the ratio new/old. Exits 1 when any
-// benchmark regressed by more than the threshold (default +10%) or when a
-// baseline benchmark is missing from the new run (a rename or a silently
-// dropped bench must not shrink the gate); benchmarks only present in the
-// new run are informational. A CI regression gate is:
-//
-//   ./bench/bench_micro --benchmark_out=new.json --benchmark_out_format=json
-//   ./tools/bench_compare BENCH_micro.json new.json
-//
-// A second mode gates absolute scaling instead of relative regressions:
+// bench_compare — the gates over the perf drivers' JSON result files.
 //
 //   bench_compare --min-speedup 2.5 --name fullweb_fit/threads:4 RESULTS.json
 //
@@ -22,21 +7,20 @@
 // so a renamed benchmark cannot silently disarm the gate. A matching row
 // without a speedup was not measured (bench_parallel_scaling at a thread
 // count above the host's); when every matching row is like that, the tool
-// prints SKIPPED and exits 77, ctest's SKIP_RETURN_CODE for the gate.
+// prints SKIPPED and exits 77, ctest's SKIP_RETURN_CODE for the gate. The
+// floor must be a finite number > 0.
 //
-// A third mode audits committed baselines for build type:
+//   bench_compare --check-release BENCH_fullscale.json BENCH_online.json
 //
-//   bench_compare --check-release BENCH_ingest.json BENCH_fullscale.json
+// audits committed baselines for build type: exits 1 when any file was
+// recorded by a debug binary (the context.binary_build_type stamp that
+// bench_fullscale and bench_online write from NDEBUG). Files without the
+// stamp pass — old baselines are not retroactively failed.
 //
-// exits 1 when any file was recorded by a debug binary (see
-// detect_build_type in the lib: the custom context.binary_build_type stamp
-// wins over libbenchmark's library_build_type). Files without either field
-// pass — old baselines are not retroactively failed. Compare mode applies
-// the same check to its BASELINE argument: a debug baseline makes every
-// release run look improved, so it fails the gate outright.
-//
-// The comparison and parsing logic lives in bench_compare_lib (unit-tested
-// by test_tools_bench_compare); this file is only flag handling.
+// A usage error or an unreadable or malformed file exits 2. The gate logic
+// lives in bench_compare_lib (unit-tested by test_tools_bench_compare); this
+// file is only flag handling.
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -45,14 +29,13 @@
 #include <vector>
 
 #include "bench_compare_lib.h"
+#include "support/strings.h"
 
 namespace {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: bench_compare BASELINE.json NEW.json "
-               "[--threshold 0.10] [--metric real_time|cpu_time]\n"
-               "       bench_compare --min-speedup FLOOR [--name SUBSTRING] "
+               "usage: bench_compare --min-speedup FLOOR [--name SUBSTRING] "
                "RESULTS.json\n"
                "       bench_compare --check-release RESULTS.json...\n");
 }
@@ -69,21 +52,13 @@ std::optional<std::string> slurp(const std::string& path) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> positional;
-  double threshold = 0.10;
-  std::string metric = "real_time";
-  double min_speedup = 0.0;
-  bool speedup_mode = false;
+  std::optional<double> min_speedup;
   bool check_release_mode = false;
   std::string name_filter;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--threshold" && i + 1 < argc) {
-      threshold = std::stod(argv[++i]);
-    } else if (arg == "--metric" && i + 1 < argc) {
-      metric = argv[++i];
-    } else if (arg == "--min-speedup" && i + 1 < argc) {
-      min_speedup = std::stod(argv[++i]);
-      speedup_mode = true;
+    if (arg == "--min-speedup" && i + 1 < argc) {
+      min_speedup = fullweb::support::parse_double(argv[++i]);
     } else if (arg == "--name" && i + 1 < argc) {
       name_filter = argv[++i];
     } else if (arg == "--check-release") {
@@ -123,74 +98,29 @@ int main(int argc, char** argv) {
     return debug_files > 0 ? 1 : 0;
   }
 
-  if (speedup_mode) {
-    if (positional.size() != 1) {
-      usage();
-      return 2;
-    }
-    std::ifstream in(positional[0]);
-    if (!in) {
-      std::fprintf(stderr, "bench_compare: cannot open %s\n",
-                   positional[0].c_str());
-      return 2;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const auto report = fullweb::benchcmp::check_min_speedup(
-        buffer.str(), min_speedup, name_filter);
-    if (!report.ok()) {
-      std::fprintf(stderr, "%s (%s)\n", report.error().message.c_str(),
-                   positional[0].c_str());
-      return 2;
-    }
-    std::fputs(fullweb::benchcmp::render_speedup(report.value(), min_speedup,
-                                                 name_filter)
-                   .c_str(),
-               stdout);
-    if (report.value().skipped()) return 77;
-    return report.value().failed() ? 1 : 0;
-  }
-
-  if (positional.size() != 2) {
+  const bool floor_ok =
+      min_speedup && std::isfinite(*min_speedup) && *min_speedup > 0.0;
+  if (!floor_ok || positional.size() != 1) {
     usage();
     return 2;
   }
-
-  const auto baseline_text = slurp(positional[0]);
-  if (!baseline_text) {
+  const auto text = slurp(positional[0]);
+  if (!text) {
     std::fprintf(stderr, "bench_compare: cannot open %s\n",
                  positional[0].c_str());
     return 2;
   }
-  const auto baseline =
-      fullweb::benchcmp::parse_results(*baseline_text, metric);
-  if (!baseline.ok()) {
-    std::fprintf(stderr, "%s (%s)\n", baseline.error().message.c_str(),
-                 positional[0].c_str());
-    return 2;
-  }
-  const bool debug_baseline = fullweb::benchcmp::is_debug_build(*baseline_text);
-  if (debug_baseline)
-    std::fprintf(stderr,
-                 "bench_compare: WARNING: baseline %s was recorded by a debug "
-                 "binary; comparison is meaningless — failing the gate\n",
-                 positional[0].c_str());
-  if (baseline.value().empty()) {
-    // A baseline with zero usable rows (wrong --metric, empty array) would
-    // make every comparison vacuously pass — refuse instead.
-    std::fprintf(stderr,
-                 "bench_compare: no usable benchmarks in %s for metric %s\n",
-                 positional[0].c_str(), metric.c_str());
-    return 2;
-  }
-  const auto fresh = fullweb::benchcmp::load_results(positional[1], metric);
-  if (!fresh.ok()) {
-    std::fprintf(stderr, "%s\n", fresh.error().message.c_str());
-    return 2;
-  }
-
   const auto report =
-      fullweb::benchcmp::compare(baseline.value(), fresh.value(), threshold);
-  std::fputs(fullweb::benchcmp::render(report, threshold).c_str(), stdout);
-  return report.failed() || debug_baseline ? 1 : 0;
+      fullweb::benchcmp::check_min_speedup(*text, *min_speedup, name_filter);
+  if (!report.ok()) {
+    std::fprintf(stderr, "%s (%s)\n", report.error().message.c_str(),
+                 positional[0].c_str());
+    return 2;
+  }
+  std::fputs(fullweb::benchcmp::render_speedup(report.value(), *min_speedup,
+                                               name_filter)
+                 .c_str(),
+             stdout);
+  if (report.value().skipped()) return 77;
+  return report.value().failed() ? 1 : 0;
 }

@@ -17,7 +17,7 @@
 //   --baseline PATH      compares the fresh report against a committed one
 //                        (VALIDATION_baseline.json) and fails on drifted or
 //                        missing metrics — the estimator-bias analogue of
-//                        the bench_compare perf gate.
+//                        the committed perf baselines.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
