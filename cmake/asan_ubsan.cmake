@@ -3,7 +3,8 @@
 # Invoked by the `asan_ubsan` ctest entry (see the top-level
 # CMakeLists.txt). Configures a nested build of the same source tree with
 # FULLWEB_SANITIZE=address,undefined, builds only the targets that exercise
-# parsers, workspace reuse, and the validation harness, and runs them. Any
+# parsers, the kernels that size their own scratch, and the validation
+# harness, and runs them. Any
 # report aborts the test (halt_on_error=1, -fno-sanitize-recover). The build
 # also treats warnings as errors (FULLWEB_WERROR), so a new compiler warning
 # in the libraries or these tests fails the gate.
@@ -33,9 +34,11 @@ if(NOT rc EQUAL 0)
 endif()
 
 # Parsers (weblog, the shared JSON reader, the binary columnar decoder with
-# its corruption corpus), workspace arena reuse, the tail kernels that
-# recycle arenas across replicates, and the validation harness (edge
-# inputs + Monte Carlo fan-out) are where lifetime/UB bugs would live.
+# its corruption corpus), the kernels that size their own scratch, and the
+# validation harness (edge inputs + Monte Carlo fan-out) are where
+# lifetime/UB bugs would live. test_stats_fft covers the Bluestein padding
+# and the packed real-input halves; test_tail_curvature covers the
+# per-replicate samples of the Monte-Carlo curvature test.
 # test_weblog_parser_identity's exact-size buffers make any vector-scan
 # read past a chunk or token end an ASan stop, which is the memory-safety
 # half of the SIMD bit-identity contract.
@@ -51,7 +54,7 @@ endif()
 # through the chunk reader's carried partial lines and the sessionizer's
 # list splices and map erases, where a dangling iterator would live.
 set(FULLWEB_ASAN_TESTS
-  test_support_workspace test_support_json
+  test_stats_fft test_tail_curvature test_support_json
   test_tools_bench_compare test_edge_inputs
   test_validation test_weblog_corpus test_weblog_parser_identity
   test_store_columnar test_online_sketch test_online_analyzer

@@ -34,8 +34,7 @@ endif()
 # aggregation pyramid, shared periodogram) including its 1-vs-8-thread
 # bit-identity checks, which only mean something under TSan.
 # test_validation runs the Monte Carlo replicate runner's 1-vs-N-thread
-# bit-identity checks; test_support_workspace pins the thread_local arena
-# isolation — both are claims that only TSan can actually falsify.
+# bit-identity checks, a claim that only TSan can actually falsify.
 # test_kernel_determinism does the same for the parallelized fit kernels
 # (curvature Monte Carlo, chunked periodogram, make_stationary), and
 # test_support_timing exercises the cross-thread StageTimings sink.
@@ -53,7 +52,7 @@ endif()
 set(FULLWEB_TSAN_TESTS
   test_support_executor test_core_determinism
   test_weblog_streaming test_weblog_corpus test_weblog_parser_identity
-  test_shared_kernels test_validation test_support_workspace
+  test_shared_kernels test_validation
   test_kernel_determinism test_support_timing
   test_store_columnar test_core_fleet
   test_online_sketch test_online_analyzer)

@@ -100,16 +100,13 @@ Result<StationaryReport> make_stationary(std::span<const double> xs,
   report.relative_drift = scan->trend.relative_drift;
   std::vector<double> working = std::move(scan->trend.residual);
 
-  // 2. Periodicity: remove when detected (the scan only ran the detection
-  //    on series long enough to resolve two cycles of max_period).
+  // 2. Periodicity: when detected, remove it by Box-Jenkins seasonal
+  //    differencing, the paper's choice (the scan only ran the detection on
+  //    series long enough to resolve two cycles of max_period).
   if (scan->period.has_value()) {
     report.period = *scan->period;
     report.seasonal_strength = scan->strength;
-    if (options.seasonal_method == SeasonalMethod::kDifference) {
-      working = timeseries::seasonal_difference(working, report.period);
-    } else {
-      working = timeseries::remove_seasonal_means(working, report.period);
-    }
+    working = timeseries::seasonal_difference(working, report.period);
     report.seasonal_removed = true;
   }
 

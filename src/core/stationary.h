@@ -25,11 +25,6 @@ class StageTimings;
 
 namespace fullweb::core {
 
-enum class SeasonalMethod {
-  kDifference,  ///< Box-Jenkins seasonal differencing (the paper's choice)
-  kMeans,       ///< subtract per-phase means (length-preserving alternative)
-};
-
 struct StationaryOptions {
   /// Periodicity search range in samples; defaults bracket the 24 h cycle
   /// for 1-second bins. Requires 2 <= min_period <= max_period
@@ -37,7 +32,6 @@ struct StationaryOptions {
   /// cover >= 2 cycles of max_period for seasonal detection to run at all.
   std::size_t min_period = 3600;
   std::size_t max_period = 2 * 86400;
-  SeasonalMethod seasonal_method = SeasonalMethod::kDifference;
   /// Remove the trend / the seasonal component only when the raw KPSS
   /// rejects stationarity at 5% (true), or unconditionally (false).
   bool only_if_nonstationary = true;

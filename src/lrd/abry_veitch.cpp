@@ -5,6 +5,7 @@
 
 #include "stats/regression.h"
 #include "stats/special.h"
+#include "timeseries/wavelet.h"
 
 namespace fullweb::lrd {
 
@@ -16,7 +17,7 @@ Result<AbryVeitchResult> abry_veitch_hurst(std::span<const double> xs,
   if (xs.size() < 64)
     return Error::insufficient_data("abry_veitch_hurst: series too short");
 
-  const auto decomp = timeseries::dwt(xs, options.wavelet, options.min_coeffs);
+  const auto decomp = timeseries::dwt(xs, options.min_coeffs);
   const std::size_t octaves = decomp.octaves();
   if (octaves < 3)
     return Error::insufficient_data("abry_veitch_hurst: fewer than 3 octaves");
@@ -32,8 +33,7 @@ Result<AbryVeitchResult> abry_veitch_hurst(std::span<const double> xs,
   // that jump is large and would bias the coarse octaves upward. Drop the
   // trailing boundary-affected coefficients of every octave (the filter
   // spreads the boundary by ~filter_length coefficients per level).
-  const std::size_t boundary =
-      options.wavelet == timeseries::WaveletKind::kD4 ? 4 : 2;
+  constexpr std::size_t boundary = 4;  // the D4 filter length
 
   AbryVeitchResult result;
   const double ln2 = std::numbers::ln2;

@@ -10,16 +10,16 @@
 // Reference: Abry & Veitch, IEEE Trans. IT 44(1), 1998.
 #pragma once
 
+#include <cstddef>
 #include <span>
+#include <vector>
 
 #include "lrd/hurst.h"
 #include "support/result.h"
-#include "timeseries/wavelet.h"
 
 namespace fullweb::lrd {
 
 struct AbryVeitchOptions {
-  timeseries::WaveletKind wavelet = timeseries::WaveletKind::kD4;
   std::size_t j1 = 2;             ///< finest octave in the regression
   std::size_t j2 = 0;             ///< coarsest octave; 0 = deepest with
                                   ///< at least `min_coeffs` coefficients

@@ -6,7 +6,6 @@
 
 #include "stats/descriptive.h"
 #include "stats/fft.h"
-#include "support/workspace.h"
 
 namespace fullweb::stats {
 
@@ -19,15 +18,10 @@ std::vector<double> acf(std::span<const double> xs, std::size_t max_lag) {
 
   // Autocovariance via FFT: pad to >= 2n to avoid circular wrap-around.
   // The padded length is a power of two, so the forward transform takes the
-  // packed real-input path; both buffers are per-thread scratch, so repeated
-  // same-length calls (estimator sweeps) do not reallocate.
-  const std::size_t padded = next_pow2(2 * n);
-  auto& arena = support::Workspace::for_thread();
-  auto& staged = arena.real(support::ws::kFftStage);
-  staged.assign(padded, 0.0);
+  // packed real-input path.
+  std::vector<double> staged(next_pow2(2 * n), 0.0);
   for (std::size_t i = 0; i < n; ++i) staged[i] = xs[i] - m;
-  auto& buf = arena.cplx(support::ws::kSpectrum);
-  fft_real(staged, buf);
+  auto buf = fft_real(staged);
   for (auto& v : buf) v = {std::norm(v), 0.0};
   ifft(buf);
 

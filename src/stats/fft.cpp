@@ -7,7 +7,6 @@
 
 #include "support/executor.h"
 #include "support/lru_cache.h"
-#include "support/workspace.h"
 
 namespace fullweb::stats {
 
@@ -186,16 +185,7 @@ void FftPlan::transform_pow2(cd* a, bool inverse,
 void FftPlan::transform_bluestein(std::vector<cd>& a, bool inverse,
                                   support::Executor* executor) const {
   const std::size_t n = n_;
-  const bool parallel = executor != nullptr && !executor->serial();
-  // The serial path keeps the allocation-free per-thread arena. The
-  // parallel path owns its scratch: the calling thread helps the pool
-  // inside parallel_for and could steal another transform that reuses its
-  // arena slot mid-flight.
-  std::vector<cd> local;
-  std::vector<cd>& fa =
-      parallel ? local
-               : support::Workspace::for_thread().cplx(support::ws::kBluestein);
-  fa.assign(m_, cd(0.0, 0.0));
+  std::vector<cd> fa(m_, cd(0.0, 0.0));
   chunked(executor, n, [&](std::size_t lo, std::size_t hi) {
     if (!inverse) {
       for (std::size_t k = lo; k < hi; ++k) fa[k] = a[k] * chirp_[k];
@@ -261,35 +251,28 @@ void ifft(std::vector<cd>& data) {
   for (auto& v : data) v *= inv_n;
 }
 
-void fft_real(std::span<const double> xs, std::vector<cd>& out,
-              support::Executor* executor) {
+std::vector<cd> fft_real(std::span<const double> xs,
+                         support::Executor* executor) {
   const std::size_t n = xs.size();
-  out.resize(n);
-  if (n == 0) return;
+  std::vector<cd> out(n);
+  if (n == 0) return out;
   if (n == 1) {
     out[0] = cd(xs[0], 0.0);
-    return;
+    return out;
   }
   if (!is_pow2(n)) {
     for (std::size_t i = 0; i < n; ++i) out[i] = cd(xs[i], 0.0);
     FftPlan::get(n)->forward(out, executor);
-    return;
+    return out;
   }
 
   // Pack-two-halves real transform: z[k] = x[2k] + i*x[2k+1], one complex
   // FFT of length n/2, then split into the even/odd-sample spectra E and O
   // and recombine X[k] = E[k] + W^k O[k] with W = exp(-2*pi*i/n).
-  const bool parallel = executor != nullptr && !executor->serial();
   const std::size_t h = n / 2;
   const auto plan = FftPlan::get(h);
   const auto unpack = real_unpack_twiddles(n);
-  // Local scratch on the parallel path, for the same arena-stealing reason
-  // as transform_bluestein.
-  std::vector<cd> local;
-  std::vector<cd>& z =
-      parallel ? local
-               : support::Workspace::for_thread().cplx(support::ws::kRealFftHalf);
-  z.resize(h);
+  std::vector<cd> z(h);
   for (std::size_t k = 0; k < h; ++k) z[k] = cd(xs[2 * k], xs[2 * k + 1]);
   plan->forward(z, executor);
 
@@ -308,11 +291,6 @@ void fft_real(std::span<const double> xs, std::vector<cd>& out,
       out[n - k] = std::conj(x);
     }
   });
-}
-
-std::vector<cd> fft_real(std::span<const double> xs) {
-  std::vector<cd> out;
-  fft_real(xs, out);
   return out;
 }
 

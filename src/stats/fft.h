@@ -35,14 +35,11 @@ namespace fullweb::stats {
 ///
 /// Executor parameter: unlike the rest of the library, a null executor here
 /// means SERIAL (not "the global pool") — the FFT is a leaf kernel and most
-/// call sites want the allocation-free thread-local-workspace path. Passing
-/// an executor opts the transform into chunking each butterfly stage (and
-/// the Bluestein pointwise products) across the pool; every butterfly
-/// writes only its own pair of slots in the serial accumulation order, so
-/// the spectrum is bit-identical at any thread count. The parallel path
-/// uses locally-owned scratch instead of Workspace slots, because a thread
-/// that helps the pool mid-transform may steal another FFT task that would
-/// reuse its arena.
+/// call sites run it inside an already-parallel task. Passing an executor
+/// opts the transform into chunking each butterfly stage (and the Bluestein
+/// pointwise products) across the pool; every butterfly writes only its own
+/// pair of slots in the serial accumulation order, so the spectrum is
+/// bit-identical at any thread count.
 class FftPlan {
  public:
   /// The (cached) plan for length-n transforms.
@@ -93,19 +90,13 @@ void fft(std::vector<std::complex<double>>& data);
 void ifft(std::vector<std::complex<double>>& data);
 
 /// Forward FFT of a real sequence; returns the full complex spectrum of the
-/// same length (conjugate-symmetric).
-[[nodiscard]] std::vector<std::complex<double>> fft_real(std::span<const double> xs);
-
-/// As above, but writes the spectrum into `out` (resized to xs.size()).
-/// Power-of-two lengths use the packed real-to-complex path: one complex FFT
-/// of length n/2 instead of length n (~2x fewer flops). `out` may be a
-/// reused scratch buffer; it must not alias the Workspace slots the FFT uses
-/// internally (ws::kRealFftHalf, ws::kBluestein).
-/// A non-null `executor` parallelizes the transform stages (null = serial;
-/// see the FftPlan note — results are bit-identical either way).
-void fft_real(std::span<const double> xs,
-              std::vector<std::complex<double>>& out,
-              support::Executor* executor = nullptr);
+/// same length (conjugate-symmetric). Power-of-two lengths use the packed
+/// real-to-complex path: one complex FFT of length n/2 instead of length n
+/// (~2x fewer flops). A non-null `executor` parallelizes the transform
+/// stages (null = serial; see the FftPlan note — results are bit-identical
+/// either way).
+[[nodiscard]] std::vector<std::complex<double>> fft_real(
+    std::span<const double> xs, support::Executor* executor = nullptr);
 
 /// Smallest power of two >= n, or 0 when none is representable in size_t
 /// (n > 2^63 on 64-bit). Callers transform buffers that exist in memory, so

@@ -10,7 +10,6 @@
 #include "stats/descriptive.h"
 #include "stats/fft.h"
 #include "support/executor.h"
-#include "support/workspace.h"
 
 namespace fullweb::stats {
 
@@ -33,20 +32,11 @@ Periodogram periodogram(std::span<const double> xs,
 
   // Remove the mean so the j = 0 ordinate does not leak into neighbours.
   // Power-of-two lengths (the whittle/Hurst sweeps truncate to one) take the
-  // packed real path. Serially, staging + spectrum live in per-thread
-  // scratch; when an executor drives the FFT, local buffers replace the
-  // Workspace slots — a thread helping the pool mid-transform may steal
-  // another periodogram task that would reuse its arena.
-  const bool parallel = executor != nullptr && !executor->serial();
+  // packed real path.
   const double m = mean(xs);
-  auto& arena = support::Workspace::for_thread();
-  std::vector<double> staged_local;
-  std::vector<std::complex<double>> buf_local;
-  auto& staged = parallel ? staged_local : arena.real(support::ws::kFftStage);
-  staged.resize(n);
+  std::vector<double> staged(n);
   for (std::size_t i = 0; i < n; ++i) staged[i] = xs[i] - m;
-  auto& buf = parallel ? buf_local : arena.cplx(support::ws::kSpectrum);
-  fft_real(staged, buf, executor);
+  const auto buf = fft_real(staged, executor);
 
   const std::size_t half = (n - 1) / 2;
   pg.frequency.resize(half);
@@ -60,7 +50,7 @@ Periodogram periodogram(std::span<const double> xs,
     }
   };
   constexpr std::size_t kFillChunk = 16384;
-  if (!parallel || half < 2 * kFillChunk) {
+  if (executor == nullptr || executor->serial() || half < 2 * kFillChunk) {
     fill(0, half);
   } else {
     const std::size_t chunks = (half + kFillChunk - 1) / kFillChunk;

@@ -1,6 +1,7 @@
 #include "support/cli.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "support/strings.h"
@@ -63,15 +64,30 @@ std::string CliFlags::get(const std::string& name) const {
   return it->second.value;
 }
 
+namespace {
+
+/// A malformed value is the user's mistake, not the program's: report it
+/// like any other usage error instead of letting an exception abort.
+[[noreturn]] void reject_value(const std::string& name, const char* kind,
+                               const std::string& value) {
+  std::fprintf(stderr, "flag --%s expects %s, got '%s'\n", name.c_str(), kind,
+               value.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 long long CliFlags::get_int(const std::string& name) const {
-  auto v = parse_int(get(name));
-  if (!v) throw std::invalid_argument("flag --" + name + " is not an integer");
+  const std::string value = get(name);
+  auto v = parse_int(value);
+  if (!v) reject_value(name, "an integer", value);
   return *v;
 }
 
 double CliFlags::get_double(const std::string& name) const {
-  auto v = parse_double(get(name));
-  if (!v) throw std::invalid_argument("flag --" + name + " is not a number");
+  const std::string value = get(name);
+  auto v = parse_double(value);
+  if (!v) reject_value(name, "a number", value);
   return *v;
 }
 

@@ -21,6 +21,10 @@ class CliFlags {
   /// or missing values. `--help` prints usage and returns false as well.
   bool parse(int argc, const char* const* argv);
 
+  /// get() throws std::invalid_argument for a flag that was never defined
+  /// (a programmer error). get_int/get_double print a usage error naming the
+  /// flag and its value and exit with status 2 when the value does not parse
+  /// as the requested kind (a user error).
   [[nodiscard]] std::string get(const std::string& name) const;
   [[nodiscard]] long long get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;

@@ -10,7 +10,6 @@
 #include "stats/distributions.h"
 #include "stats/regression.h"
 #include "support/executor.h"
-#include "support/workspace.h"
 #include "tail/llcd.h"
 
 namespace fullweb::tail {
@@ -24,10 +23,9 @@ Result<double> llcd_curvature(std::span<const double> xs, double tail_fraction) 
   const LlcdPlot& plot = plot_r.value();
 
   // Keep the tail: points above the (1 - tail_fraction) quantile of log10 x.
-  std::vector<double> sorted_lx = plot.log10_x;
-  std::sort(sorted_lx.begin(), sorted_lx.end());
-  const double cut =
-      stats::quantile_sorted(sorted_lx, std::clamp(1.0 - tail_fraction, 0.0, 1.0));
+  // llcd_plot emits log10_x in ascending order, so no copy or sort is needed.
+  const double cut = stats::quantile_sorted(
+      plot.log10_x, std::clamp(1.0 - tail_fraction, 0.0, 1.0));
 
   std::vector<double> lx, ly;
   for (std::size_t i = 0; i < plot.log10_x.size(); ++i) {
@@ -124,11 +122,7 @@ Result<CurvatureResult> curvature_test(std::span<const double> xs,
       0, options.replicates,
       [&](std::size_t rep) {
         support::Rng& replicate_rng = replicate_rngs[rep];
-        // Per-worker reusable sample buffer: every element is overwritten
-        // before the fit reads it.
-        auto& sample = support::Workspace::for_thread().real(
-            support::ws::kCurvatureSample);
-        sample.resize(n);
+        std::vector<double> sample(n);
         for (std::size_t i = 0; i < n; ++i) sample[i] = draw(replicate_rng);
         if (auto c = llcd_curvature(sample, options.tail_fraction); c.ok())
           curvatures[rep] = c.value();

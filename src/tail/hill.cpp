@@ -4,8 +4,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-
-#include "support/workspace.h"
+#include <vector>
 
 namespace fullweb::tail {
 
@@ -46,8 +45,7 @@ Result<HillPlot> hill_plot_from_top(std::span<const double> top_desc,
 }
 
 Result<HillPlot> hill_plot(std::span<const double> xs, const HillOptions& options) {
-  auto& sorted = support::Workspace::for_thread().real(support::ws::kTailSorted);
-  sorted.clear();
+  std::vector<double> sorted;
   sorted.reserve(xs.size());
   for (double v : xs)
     if (v > 0.0) sorted.push_back(v);

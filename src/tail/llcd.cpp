@@ -6,7 +6,6 @@
 
 #include "stats/descriptive.h"
 #include "stats/regression.h"
-#include "support/workspace.h"
 
 namespace fullweb::tail {
 
@@ -83,11 +82,8 @@ Result<LlcdFit> llcd_fit(std::span<const double> xs, const LlcdOptions& options)
     return a.fit;
   }
 
-  // Sorted positive samples (for quantile-based thetas) live in per-thread
-  // scratch: Monte-Carlo validation replicates re-fit at a fixed sample
-  // size, so the buffer is sorted in place with no per-replicate allocation.
-  auto& positive = support::Workspace::for_thread().real(support::ws::kTailSorted);
-  positive.clear();
+  // Sorted positive samples, for the quantile-based thetas.
+  std::vector<double> positive;
   positive.reserve(xs.size());
   for (double v : xs)
     if (v > 0.0) positive.push_back(v);

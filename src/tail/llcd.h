@@ -47,7 +47,7 @@ struct LlcdFit {
 /// The LLCD plot itself: (log10 x, log10 P[X > x]) over distinct sample
 /// values, excluding the final zero-CCDF point — the data of Figs 11 & 13.
 struct LlcdPlot {
-  std::vector<double> log10_x;
+  std::vector<double> log10_x;  ///< in ascending order of x
   std::vector<double> log10_ccdf;
 };
 [[nodiscard]] support::Result<LlcdPlot> llcd_plot(std::span<const double> xs);

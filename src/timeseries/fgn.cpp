@@ -8,7 +8,6 @@
 
 #include "stats/fft.h"
 #include "support/lru_cache.h"
-#include "support/workspace.h"
 
 namespace fullweb::timeseries {
 
@@ -114,8 +113,7 @@ Result<std::vector<double>> generate_fgn(std::size_t n, double hurst, double sig
   // real/imag pairs) is part of the bit-compatibility contract with the RNG
   // substream layout — do not reorder.
   const std::size_t m = 2 * n;
-  auto& w = support::Workspace::for_thread().cplx(support::ws::kFgnDraw);
-  w.assign(m, {0.0, 0.0});
+  std::vector<std::complex<double>> w(m, {0.0, 0.0});
   w[0] = {scale[0] * rng.normal(), 0.0};
   w[n] = {scale[n] * rng.normal(), 0.0};
   for (std::size_t k = 1; k < n; ++k) {

@@ -1,9 +1,11 @@
-// Discrete wavelet transform (Daubechies) for the Abry-Veitch estimator.
+// Discrete wavelet transform (Daubechies-4) for the Abry-Veitch estimator.
 //
 // The pyramid algorithm convolves the signal with the low-pass/high-pass
 // filter pair and downsamples by two, octave by octave; the detail
 // coefficients d_{j,k} at octave j carry the energy the Abry-Veitch
-// estimator regresses against scale. Periodic boundary handling.
+// estimator regresses against scale. D4's 4 taps give 2 vanishing moments,
+// so the details are blind to the linear trends the paper removes.
+// Periodic boundary handling.
 #pragma once
 
 #include <cstddef>
@@ -11,12 +13,6 @@
 #include <vector>
 
 namespace fullweb::timeseries {
-
-enum class WaveletKind {
-  kHaar,  ///< D2: 2-tap; 1 vanishing moment
-  kD4,    ///< Daubechies 4-tap; 2 vanishing moments (paper-appropriate
-          ///< default: robust to the linear trends the paper removes)
-};
 
 /// Per-octave detail coefficients d_{j,k}, j = 1 (finest) .. J.
 struct WaveletDecomposition {
@@ -30,7 +26,6 @@ struct WaveletDecomposition {
 /// `min_coeffs` coefficients (default 4, so variances are estimable).
 /// The input is truncated to an even length per level as needed.
 [[nodiscard]] WaveletDecomposition dwt(std::span<const double> xs,
-                                       WaveletKind kind = WaveletKind::kD4,
                                        std::size_t min_coeffs = 4);
 
 }  // namespace fullweb::timeseries

@@ -74,16 +74,6 @@ TEST(MakeStationary, TrendSlopeEstimated) {
   EXPECT_NEAR(r.value().trend_slope, 0.003, 5e-4);
 }
 
-TEST(MakeStationary, SeasonalMeansAlternativePreservesLength) {
-  auto opts = short_day_options();
-  opts.seasonal_method = SeasonalMethod::kMeans;
-  const auto xs = workload_like(8000, 200, 0.002, 4.0, 4);
-  const auto r = make_stationary(xs, opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r.value().seasonal_removed);
-  EXPECT_EQ(r.value().series.size(), xs.size());
-}
-
 TEST(MakeStationary, UnconditionalModeProcessesStationaryInput) {
   auto opts = short_day_options();
   opts.only_if_nonstationary = false;

@@ -1,13 +1,12 @@
 // Golden-value regression gate for the cached kernel paths.
 //
-// The FFT plan cache, the fGn circulant-spectrum cache, and the per-thread
-// scratch arenas must be bit-transparent: a cache hit, a cache miss, a
-// reused buffer, and any executor width must all produce the same doubles
-// to the last bit. These tests pin exact 64-bit patterns (captured on the
-// reference build) for fGn draws, a Whittle Hurst estimate, and a Hill
-// estimate, and additionally compare cache hit-vs-miss runs directly. If an
-// "optimization" ever changes a bit here, it changed results, not just
-// speed.
+// The FFT plan cache and the fGn circulant-spectrum cache must be
+// bit-transparent: a cache hit, a cache miss, and any executor width must
+// all produce the same doubles to the last bit. These tests pin exact
+// 64-bit patterns (captured on the reference build) for fGn draws, a
+// Whittle Hurst estimate, and a Hill estimate, and additionally compare
+// cache hit-vs-miss runs directly. If an "optimization" ever changes a bit
+// here, it changed results, not just speed.
 #include <gtest/gtest.h>
 
 #include <bit>

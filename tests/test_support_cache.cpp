@@ -1,4 +1,4 @@
-// LruCache + Workspace: the shared machinery under the kernel caches.
+// LruCache: the shared machinery under the kernel caches.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "support/lru_cache.h"
-#include "support/workspace.h"
 
 namespace fullweb::support {
 namespace {
@@ -78,30 +77,6 @@ TEST(LruCache, ConcurrentGetOrCreateYieldsOneCanonicalValue) {
     EXPECT_EQ(*seen[t], 420);
     EXPECT_EQ(seen[t].get(), seen[0].get());  // all share one object
   }
-}
-
-TEST(Workspace, SlotsAreIndependentAndStable) {
-  Workspace& arena = Workspace::for_thread();
-  auto& a = arena.real(0);
-  auto& b = arena.real(1);
-  a.assign(100, 1.0);
-  b.assign(5, 2.0);
-  a.resize(1000, 3.0);  // growing one slot must not disturb another
-  EXPECT_EQ(b.size(), 5U);
-  EXPECT_EQ(b[4], 2.0);
-  EXPECT_EQ(&arena.real(0), &a);  // same thread, same buffer
-}
-
-TEST(Workspace, EachThreadGetsItsOwnArena) {
-  Workspace::for_thread().real(0).assign(10, 1.0);
-  Workspace* other = nullptr;
-  std::thread t([&] {
-    other = &Workspace::for_thread();
-    EXPECT_TRUE(other->real(0).empty());  // fresh arena, not this thread's
-  });
-  t.join();
-  EXPECT_NE(other, &Workspace::for_thread());
-  EXPECT_EQ(Workspace::for_thread().real(0).size(), 10U);
 }
 
 }  // namespace

@@ -107,5 +107,22 @@ TEST(Cli, UndeclaredGetThrows) {
   EXPECT_THROW((void)flags.get("missing"), std::invalid_argument);
 }
 
+TEST(CliDeathTest, MalformedNumberIsAUsageError) {
+  CliFlags flags;
+  flags.define("threads", "0", "worker threads");
+  flags.define("scale", "1.0", "volume scale");
+  flags.define("days", "7", "days of traffic");
+  const char* argv[] = {"prog", "--threads", "2.5", "--scale=abc",
+                        "--days", "0.5"};
+  ASSERT_TRUE(flags.parse(6, argv));
+  // The accessor decides the kind: 0.5 is a valid number...
+  EXPECT_DOUBLE_EQ(flags.get_double("days"), 0.5);
+  // ...but 2.5 is not an integer, and abc is not a number.
+  EXPECT_EXIT((void)flags.get_int("threads"), testing::ExitedWithCode(2),
+              "flag --threads expects an integer, got '2\\.5'");
+  EXPECT_EXIT((void)flags.get_double("scale"), testing::ExitedWithCode(2),
+              "flag --scale expects a number, got 'abc'");
+}
+
 }  // namespace
 }  // namespace fullweb::support

@@ -38,6 +38,26 @@ TEST(LlcdPlot, SkipsNonPositiveValues) {
   EXPECT_EQ(plot.value().log10_x.size(), 2U);  // 1 and 2 (3 is the last)
 }
 
+TEST(LlcdPlot, LogXIsAscending) {
+  // llcd_curvature reads its cut quantile straight from log10_x, so the
+  // plot must emit it in ascending order whatever the input order: here
+  // integer ties, zeros, negatives and neighbouring doubles, unsorted.
+  auto xs = pareto_sample(1.2, 1.0, 2000, 17);
+  for (std::size_t i = 0; i < xs.size(); i += 2) xs[i] = std::ceil(xs[i]);
+  for (std::size_t i = 0; i < 50; ++i) {
+    xs.push_back(0.0);
+    xs.push_back(-static_cast<double>(i));
+    xs.push_back(std::nextafter(1.0 + static_cast<double>(i), 0.0));
+    xs.push_back(1.0 + static_cast<double>(i));
+  }
+  const auto plot = llcd_plot(xs);
+  ASSERT_TRUE(plot.ok());
+  const auto& lx = plot.value().log10_x;
+  ASSERT_GT(lx.size(), 100U);
+  for (std::size_t i = 1; i < lx.size(); ++i)
+    ASSERT_LE(lx[i - 1], lx[i]) << "i=" << i;
+}
+
 TEST(LlcdPlot, ErrorsOnDegenerateInput) {
   EXPECT_FALSE(llcd_plot(std::vector<double>{}).ok());
   EXPECT_FALSE(llcd_plot(std::vector<double>{1.0}).ok());

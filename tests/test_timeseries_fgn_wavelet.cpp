@@ -101,21 +101,6 @@ TEST(GenerateFgn, WhiteNoiseCaseUncorrelated) {
 
 // ----------------------------------------------------------------- wavelet
 
-TEST(Dwt, HaarEnergyConservation) {
-  support::Rng rng(6);
-  std::vector<double> xs(256);
-  for (auto& x : xs) x = rng.normal();
-  double input_energy = 0;
-  for (double x : xs) input_energy += x * x;
-
-  const auto d = dwt(xs, WaveletKind::kHaar, 2);
-  double output_energy = 0;
-  for (const auto& level : d.details)
-    for (double c : level) output_energy += c * c;
-  for (double c : d.final_approximation) output_energy += c * c;
-  EXPECT_NEAR(output_energy, input_energy, 1e-9 * input_energy);
-}
-
 TEST(Dwt, D4EnergyConservation) {
   support::Rng rng(7);
   std::vector<double> xs(512);
@@ -123,7 +108,7 @@ TEST(Dwt, D4EnergyConservation) {
   double input_energy = 0;
   for (double x : xs) input_energy += x * x;
 
-  const auto d = dwt(xs, WaveletKind::kD4, 2);
+  const auto d = dwt(xs, 2);
   double output_energy = 0;
   for (const auto& level : d.details)
     for (double c : level) output_energy += c * c;
@@ -133,7 +118,7 @@ TEST(Dwt, D4EnergyConservation) {
 
 TEST(Dwt, OctaveSizesHalve) {
   std::vector<double> xs(1024, 0.0);
-  const auto d = dwt(xs, WaveletKind::kD4, 4);
+  const auto d = dwt(xs, 4);
   ASSERT_GE(d.octaves(), 5U);
   std::size_t expect = 512;
   for (const auto& level : d.details) {
@@ -144,7 +129,7 @@ TEST(Dwt, OctaveSizesHalve) {
 
 TEST(Dwt, ConstantSignalHasZeroDetails) {
   const std::vector<double> xs(256, 3.0);
-  const auto d = dwt(xs, WaveletKind::kD4, 2);
+  const auto d = dwt(xs, 2);
   for (const auto& level : d.details)
     for (double c : level) EXPECT_NEAR(c, 0.0, 1e-10);
 }
@@ -155,30 +140,24 @@ TEST(Dwt, D4AnnihilatesLinearTrend) {
   std::vector<double> xs(512);
   for (std::size_t t = 0; t < xs.size(); ++t)
     xs[t] = 0.5 * static_cast<double>(t);
-  const auto d = dwt(xs, WaveletKind::kD4, 8);
+  const auto d = dwt(xs, 8);
   ASSERT_GE(d.octaves(), 1U);
   const auto& finest = d.details[0];
   // Ignore the last coefficient (periodic boundary sees the jump).
   for (std::size_t k = 0; k + 1 < finest.size(); ++k)
     EXPECT_NEAR(finest[k], 0.0, 1e-9) << "k=" << k;
-  // Haar (one vanishing moment) does NOT annihilate the ramp.
-  const auto h = dwt(xs, WaveletKind::kHaar, 8);
-  double haar_energy = 0;
-  for (std::size_t k = 0; k + 1 < h.details[0].size(); ++k)
-    haar_energy += h.details[0][k] * h.details[0][k];
-  EXPECT_GT(haar_energy, 1.0);
 }
 
 TEST(Dwt, OddLengthInputTruncated) {
   std::vector<double> xs(101, 1.0);
-  const auto d = dwt(xs, WaveletKind::kHaar, 2);
+  const auto d = dwt(xs, 2);
   ASSERT_GE(d.octaves(), 1U);
   EXPECT_EQ(d.details[0].size(), 50U);
 }
 
 TEST(Dwt, TooShortInputYieldsNoOctaves) {
   const std::vector<double> xs = {1.0, 2.0};
-  const auto d = dwt(xs, WaveletKind::kD4, 4);
+  const auto d = dwt(xs, 4);
   EXPECT_EQ(d.octaves(), 0U);
 }
 
