@@ -25,12 +25,7 @@ bool parse_bench_flags(int argc, const char* const* argv, BenchContext* ctx,
   ctx->scale_multiplier = flags.get_double("scale");
   ctx->days = flags.get_double("days");
   ctx->seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const long long threads = flags.get_int("threads");
-  if (threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
-    return false;
-  }
-  ctx->threads = static_cast<std::size_t>(threads);
+  ctx->threads = flags.get_count("threads");
   ctx->csv_dir = flags.get("csv-dir");
   support::Executor::set_global_threads(ctx->threads);
   return true;
@@ -84,6 +79,13 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+bool meets_floor(const std::string& name, double ratio, double floor) {
+  const bool ok = ratio >= floor;  // false for NaN
+  std::printf("floor %s %.2fx (>= %gx) %s\n", name.c_str(), ratio, floor,
+              ok ? "ok" : "BELOW FLOOR");
+  return ok;
 }
 
 std::string fmt(double v, int digits) { return support::format_sig(v, digits); }

@@ -63,6 +63,12 @@ double time_reps(std::size_t reps, Fn&& fn) {
   return times[times.size() / 2];
 }
 
+/// Gate one measured ratio on its floor. Prints
+/// `floor <name> <ratio>x (>= <floor>x) ok|BELOW FLOOR` and returns false
+/// when the ratio is below the floor or is NaN, so a perf bench exits 1 and
+/// the ctest entry that runs it is the gate.
+bool meets_floor(const std::string& name, double ratio, double floor);
+
 /// Format helpers for table cells.
 std::string fmt(double v, int digits = 3);
 std::string fmt_h(double h);  ///< Hurst estimates: 3 decimals

@@ -7,10 +7,7 @@
 //
 //   1. cold CLF ingest        — from_clf_stream, parse + intern + sessionize
 //   2. fast vs reference parse — the SIMD/SWAR parser against the scalar
-//                                reference over the identical bytes; the
-//                                ratio is pure parser work reduction, so it
-//                                holds on any host and carries the
-//                                --min-speedup floor (see bench/CMakeLists)
+//                                reference over the identical bytes
 //   3. columnar re-ingest     — from_columnar of the same traffic
 //   4. full model fit         — fit_fullweb_model, every Figure 1 branch
 //   5. validation             — the CLF and columnar datasets must be
@@ -19,10 +16,14 @@
 //                                mismatch exits nonzero
 //
 // end_to_end is the sum of the stages a cold reproduction actually runs
-// (CLF ingest + fit + validation). Output is the JSON bench_compare gates:
+// (CLF ingest + fit + validation). Every stage runs on the inline serial
+// executor, so the two gated ratios, fast vs reference parse (>= 2x) and
+// columnar vs CLF re-ingest (>= 3x), are single-threaded work reduction over
+// identical bytes and hold on any host. Either one below its floor exits 1.
 //
-//   bench_fullscale --scale 1.0 --json-out BENCH_fullscale.json
-//   bench_compare --min-speedup 2 --name parse_fast BENCH_fullscale.json
+//   bench_fullscale --scale 0.02 --reps 2   # perf_smoke_bench_fullscale
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -33,7 +34,6 @@
 #include "core/fullweb_model.h"
 #include "support/cli.h"
 #include "support/executor.h"
-#include "support/json.h"
 #include "support/rng.h"
 #include "support/strings.h"
 #include "synth/generator.h"
@@ -53,7 +53,7 @@ struct BenchRow {
   std::string name;
   double seconds = 0.0;
   double items_per_second = 0.0;
-  double speedup = 0.0;  ///< 0 = omit the field
+  double speedup = 0.0;  ///< 0 = not a ratio row
 };
 
 /// One pass over the slurped CLF text with either parser; returns the number
@@ -80,23 +80,37 @@ std::size_t parse_pass(const std::string& text, std::uint64_t& checksum,
   std::exit(1);
 }
 
+/// The fixture's CLF and columnar files. The pid in their names keeps two
+/// concurrent runs apart. The one instance has static storage duration, so
+/// std::exit (die() included) runs the destructor that removes them.
+struct FixtureFiles {
+  const std::string stem =
+      "/tmp/fullweb_bench_fullscale." + std::to_string(::getpid());
+  const std::string clf = stem + ".log";
+  const std::string fwc = stem + ".fwc";
+  ~FixtureFiles() {
+    std::remove(clf.c_str());
+    std::remove(fwc.c_str());
+  }
+};
+
+constexpr double kParseFloor = 2.0;     ///< fast vs reference parser
+constexpr double kColumnarFloor = 3.0;  ///< columnar vs CLF re-ingest
+
 }  // namespace
 
 int main(int argc, char** argv) {
   support::CliFlags flags;
   flags.define("scale", "1.0",
                "fraction of the WVU week (1.0 = the paper's 15.79M requests)");
-  flags.define("threads", "1", "executor width for ingest and model fit");
   flags.define("reps", "3", "repetitions per ingest/parse timing (median)");
-  flags.define("json-out", "BENCH_fullscale.json",
-               "results JSON for bench_compare");
   if (!flags.parse(argc, argv)) return 2;
 
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps"));
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads"));
+  const std::size_t reps = flags.get_count("reps", 1);
   const double scale = flags.get_double("scale");
-  const std::string clf_path = "/tmp/fullweb_bench_fullscale.log";
-  const std::string fwc_path = "/tmp/fullweb_bench_fullscale.fwc";
+  static const FixtureFiles files;
+  const std::string& clf_path = files.clf;
+  const std::string& fwc_path = files.fwc;
 
   std::vector<BenchRow> rows;
 
@@ -130,7 +144,7 @@ int main(int argc, char** argv) {
               static_cast<double>(clf_bytes) / (1024.0 * 1024.0 * 1024.0));
 
   // 1) Cold CLF ingest: the full text -> tables path.
-  support::Executor ex(threads);
+  support::Executor ex(1);
   const std::vector<std::string> paths = {clf_path};
   const double clf_seconds = time_reps(reps, [&] {
     weblog::StreamIngestOptions opts;
@@ -149,8 +163,8 @@ int main(int argc, char** argv) {
   const std::size_t fixture_requests = ds_clf.value().requests().size();
   const std::size_t fixture_sessions = ds_clf.value().sessions().size();
 
-  // 2) Fast vs reference parser over the identical bytes. This is the
-  // tentpole's floor: the ratio is single-threaded work reduction.
+  // 2) Fast vs reference parser over the identical bytes.
+  double parse_speedup = 0.0;
   {
     std::ifstream in(clf_path, std::ios::binary);
     std::stringstream buffer;
@@ -188,9 +202,10 @@ int main(int argc, char** argv) {
     });
     if (fast_ok != clf_lines || ref_ok != clf_lines || fast_sum != ref_sum)
       die("parse floor", "fast and reference parsers disagree on the corpus");
+    parse_speedup = ref_seconds / fast_seconds;
     rows.push_back({"fullscale/parse_fast_vs_reference", fast_seconds,
                     static_cast<double>(clf_lines) / fast_seconds,
-                    ref_seconds / fast_seconds});
+                    parse_speedup});
   }
 
   // 3) FWC1 columnar re-ingest of the identical dataset.
@@ -266,44 +281,10 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  const std::string json_path = flags.get("json-out");
-  if (!json_path.empty()) {
-    support::JsonWriter w;
-    w.begin_object();
-    w.key("context");
-    w.begin_object();
-#ifdef NDEBUG
-    w.field("binary_build_type", "release");
-#else
-    w.field("binary_build_type", "debug");
-#endif
-    w.field("profile", "WVU");
-    w.field("scale", scale);
-    w.field("fixture_requests", fixture_requests);
-    w.field("fixture_sessions", fixture_sessions);
-    w.field("clf_bytes", static_cast<std::size_t>(clf_bytes));
-    w.field("fwc_bytes", static_cast<std::size_t>(written.value()));
-    w.field("threads", threads);
-    w.field("reps", reps);
-    w.field("simd", weblog::scan::compiled_with_avx2() ? "avx2+swar" : "swar");
-    w.end_object();
-    w.key("benchmarks");
-    w.begin_array();
-    for (const BenchRow& r : rows) {
-      w.begin_object();
-      w.field("name", r.name);
-      w.field("real_time", r.seconds * 1e9);
-      w.field("time_unit", "ns");
-      w.field("items_per_second", r.items_per_second);
-      if (r.speedup > 0.0) w.field("speedup", r.speedup);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    std::ofstream json(json_path, std::ios::binary | std::ios::trunc);
-    json << std::move(w).str() << '\n';
-    if (!json) die("json", "cannot write " + json_path);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return 0;
+  const bool parse_ok = bench::meets_floor(
+      "fullscale/parse_fast_vs_reference", parse_speedup, kParseFloor);
+  const bool columnar_ok =
+      bench::meets_floor("fullscale/ingest_columnar_vs_clf",
+                         clf_seconds / fwc_seconds, kColumnarFloor);
+  return parse_ok && columnar_ok ? 0 : 1;
 }

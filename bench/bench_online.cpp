@@ -14,15 +14,11 @@
 // work-reduction speedup over identical traffic and checkpoints, so it
 // holds on any host; it grows with stream length because the batch side is
 // O(checkpoints * stream) while the online side is bounded by the window.
+// Below kOnlineFloor the bench exits 1.
 //
-// Output is the JSON bench_compare gates:
-//
-//   bench_online --json-out BENCH_online.json
-//   bench_compare --min-speedup 2 --name online_vs_batch BENCH_online.json
-#include <algorithm>
+//   bench_online --hours 6 --scale 0.3 --checkpoints 8 --reps 2
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,7 +29,6 @@
 #include "online/frs_memory.h"
 #include "stats/kpss.h"
 #include "support/cli.h"
-#include "support/json.h"
 #include "support/rng.h"
 #include "synth/generator.h"
 #include "synth/profile.h"
@@ -51,8 +46,10 @@ struct BenchRow {
   std::string name;
   double seconds = 0.0;
   double items_per_second = 0.0;
-  double speedup = 0.0;  ///< 0 = omit the field
+  double speedup = 0.0;  ///< 0 = not a ratio row
 };
+
+constexpr double kOnlineFloor = 2.0;  ///< online vs batch refit
 
 /// Consume a value so the optimizer cannot drop the estimator calls.
 volatile double g_sink = 0.0;
@@ -70,13 +67,10 @@ int main(int argc, char** argv) {
   flags.define("scale", "0.5", "synthetic volume scale");
   flags.define("checkpoints", "16", "estimate points along the stream");
   flags.define("reps", "3", "repetitions per timing (median reported)");
-  flags.define("json-out", "BENCH_online.json",
-               "results JSON for bench_compare");
   if (!flags.parse(argc, argv)) return 2;
 
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps"));
-  const auto checkpoints =
-      std::max<std::size_t>(1, static_cast<std::size_t>(flags.get_int("checkpoints")));
+  const std::size_t reps = flags.get_count("reps", 1);
+  const std::size_t checkpoints = flags.get_count("checkpoints", 1);
 
   // Fixture: one synthetic ClarkNet stream, replayed identically by every
   // timed path below. Event order defines sketch item identity, so the
@@ -183,47 +177,8 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  const std::string json_path = flags.get("json-out");
-  if (!json_path.empty()) {
-    support::JsonWriter w;
-    w.begin_object();
-    w.key("context");
-    w.begin_object();
-    w.field("fixture_events", n);
-    w.field("hours", flags.get_double("hours"));
-    w.field("scale", flags.get_double("scale"));
-    w.field("checkpoints", checkpoints);
-    w.field("window_bins", window_bins);
-    w.field("reps", reps);
-    // bench_compare --check-release reads this stamp; committed baselines
-    // must come from an optimized binary (same contract as bench_fullscale).
-#ifdef NDEBUG
-    w.field("binary_build_type", "release");
-#else
-    w.field("binary_build_type", "debug");
-#endif
-    w.end_object();
-    w.key("benchmarks");
-    w.begin_array();
-    for (const BenchRow& r : rows) {
-      w.begin_object();
-      w.field("name", r.name);
-      w.field("real_time", r.seconds * 1e9);
-      w.field("time_unit", "ns");
-      w.field("items_per_second", r.items_per_second);
-      if (r.speedup > 0.0) w.field("speedup", r.speedup);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    std::ofstream json(json_path, std::ios::binary | std::ios::trunc);
-    json << std::move(w).str() << '\n';
-    if (!json) {
-      std::fprintf(stderr, "bench_online: cannot write %s\n",
-                   json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return 0;
+  return bench::meets_floor("stream/online_vs_batch",
+                            batch_seconds / online_seconds, kOnlineFloor)
+             ? 0
+             : 1;
 }

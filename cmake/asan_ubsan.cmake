@@ -34,11 +34,13 @@ if(NOT rc EQUAL 0)
 endif()
 
 # Parsers (weblog, the shared JSON reader, the binary columnar decoder with
-# its corruption corpus), the kernels that size their own scratch, and the
-# validation harness (edge inputs + Monte Carlo fan-out) are where
-# lifetime/UB bugs would live. test_stats_fft covers the Bluestein padding
-# and the packed real-input halves; test_tail_curvature covers the
-# per-replicate samples of the Monte-Carlo curvature test.
+# its corruption corpus, the command-line flags), the kernels that size
+# their own scratch, and the validation harness (edge inputs + Monte Carlo
+# fan-out) are where lifetime/UB bugs would live. test_support_table_cli
+# covers CliFlags, which parses argv (input from outside the program) and
+# range-checks counts before they become sizes. test_stats_fft covers the
+# Bluestein padding and the packed real-input halves; test_tail_curvature
+# covers the per-replicate samples of the Monte-Carlo curvature test.
 # test_weblog_parser_identity's exact-size buffers make any vector-scan
 # read past a chunk or token end an ASan stop, which is the memory-safety
 # half of the SIMD bit-identity contract.
@@ -55,7 +57,7 @@ endif()
 # list splices and map erases, where a dangling iterator would live.
 set(FULLWEB_ASAN_TESTS
   test_stats_fft test_tail_curvature test_support_json
-  test_tools_bench_compare test_edge_inputs
+  test_support_table_cli test_edge_inputs
   test_validation test_weblog_corpus test_weblog_parser_identity
   test_store_columnar test_online_sketch test_online_analyzer
   test_stats_periodogram test_weblog_streaming test_weblog_sessionizer)

@@ -71,12 +71,7 @@ int main(int argc, char** argv) {
   flags.define("threads", "0",
                "analysis threads (0 = hardware concurrency, 1 = serial)");
   if (!flags.parse(argc, argv)) return 2;
-  const long long threads = flags.get_int("threads");
-  if (threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
-    return 2;
-  }
-  support::Executor::set_global_threads(static_cast<std::size_t>(threads));
+  support::Executor::set_global_threads(flags.get_count("threads"));
 
   std::vector<std::string> paths = flags.positional();
   if (paths.empty()) {
@@ -105,7 +100,7 @@ int main(int argc, char** argv) {
   const weblog::Dataset& dataset = ingested.value();
 
   core::FullWebOptions opts;
-  const auto reps = static_cast<std::size_t>(flags.get_int("curvature-replicates"));
+  const std::size_t reps = flags.get_count("curvature-replicates");
   opts.tails.run_curvature = reps > 0;
   opts.tails.curvature_replicates = reps;
   support::Rng rng(7);

@@ -73,12 +73,7 @@ int main(int argc, char** argv) {
   flags.define("threads", "0",
                "analysis threads (0 = hardware concurrency, 1 = serial)");
   if (!flags.parse(argc, argv)) return 2;
-  const long long threads = flags.get_int("threads");
-  if (threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
-    return 2;
-  }
-  support::Executor::set_global_threads(static_cast<std::size_t>(threads));
+  support::Executor::set_global_threads(flags.get_count("threads"));
 
   synth::ServerProfile truth = synth::ServerProfile::clarknet();
   const std::string which = flags.get("server");

@@ -589,10 +589,6 @@ Result<ColumnarInfo> write_columnar(const Dataset& dataset,
   return info;
 }
 
-Result<Dataset> read_columnar(const std::string& path) {
-  return Dataset::from_columnar(path);
-}
-
 }  // namespace fullweb::store
 
 namespace fullweb::weblog {

@@ -53,7 +53,8 @@ inline constexpr std::uint32_t kColumnarVersion = 1;
 /// Conventional file suffix, used by tools to route ingest.
 inline constexpr const char* kColumnarExtension = ".fwc";
 
-/// What one write produced, for audits and the ingest benchmarks.
+/// What one write produced, with each column's payload size for audits of
+/// the compression.
 struct ColumnarInfo {
   std::uint64_t file_bytes = 0;    ///< total bytes written / mapped
   std::uint64_t requests = 0;
@@ -69,12 +70,6 @@ struct ColumnarInfo {
 /// any filesystem failure (the partial file is removed best-effort).
 [[nodiscard]] support::Result<ColumnarInfo> write_columnar(
     const weblog::Dataset& dataset, const std::string& path);
-
-/// Load a Dataset previously written by write_columnar. Errors with
-/// category "io" when the file cannot be opened and "parse" on any format
-/// violation. Equivalent to weblog::Dataset::from_columnar.
-[[nodiscard]] support::Result<weblog::Dataset> read_columnar(
-    const std::string& path);
 
 /// True when `path` names a columnar file by extension (routing heuristic
 /// for tools that accept mixed CLF/columnar inputs).

@@ -91,6 +91,15 @@ double CliFlags::get_double(const std::string& name) const {
   return *v;
 }
 
+std::size_t CliFlags::get_count(const std::string& name,
+                                std::size_t min) const {
+  const std::string value = get(name);
+  auto v = parse_int(value);
+  if (!v || *v < 0 || static_cast<unsigned long long>(*v) < min)
+    reject_value(name, ("an integer >= " + std::to_string(min)).c_str(), value);
+  return static_cast<std::size_t>(*v);
+}
+
 bool CliFlags::get_bool(const std::string& name) const {
   const std::string v = to_lower(get(name));
   return v == "true" || v == "1" || v == "yes" || v == "on";

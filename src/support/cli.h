@@ -4,6 +4,7 @@
 // flags are an error so typos surface immediately.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -22,12 +23,16 @@ class CliFlags {
   bool parse(int argc, const char* const* argv);
 
   /// get() throws std::invalid_argument for a flag that was never defined
-  /// (a programmer error). get_int/get_double print a usage error naming the
-  /// flag and its value and exit with status 2 when the value does not parse
-  /// as the requested kind (a user error).
+  /// (a programmer error). get_int/get_double/get_count print a usage error
+  /// naming the flag and its value and exit with status 2 when the value
+  /// does not parse as the requested kind (a user error). get_count reads a
+  /// count (threads, repetitions, shards): an integer that must also be at
+  /// least `min`, so a negative value never wraps to a huge size.
   [[nodiscard]] std::string get(const std::string& name) const;
   [[nodiscard]] long long get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
+  [[nodiscard]] std::size_t get_count(const std::string& name,
+                                      std::size_t min = 0) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
 
   /// Positional (non-flag) arguments in order of appearance.

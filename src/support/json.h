@@ -1,12 +1,11 @@
 // Minimal JSON reading and writing shared by the offline tooling.
 //
-// The reader is one recursive-descent parser shared by the validation
-// report drift checker (tools/fullweb_selftest --baseline) and the
-// bench_compare gates over the perf drivers' result files, so both read the
-// same dialect: objects, arrays, strings, numbers, bools, null; unknown
-// fields are simply carried along. It is not a general standards-lawyer
-// JSON library — \uXXXX escapes are preserved verbatim rather than
-// decoded, and numbers are doubles.
+// The reader is one recursive-descent parser for the validation report
+// drift checker (tools/fullweb_selftest --baseline), which compares a fresh
+// report against the committed baseline. It reads objects, arrays, strings,
+// numbers, bools and null; unknown fields are simply carried along. It is
+// not a general standards-lawyer JSON library — \uXXXX escapes are
+// preserved verbatim rather than decoded, and numbers are doubles.
 //
 // The writer produces deterministic output: keys in the order written,
 // doubles via shortest round-trip formatting, fixed two-space indentation —

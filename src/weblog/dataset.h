@@ -160,7 +160,9 @@ class Dataset {
   /// these members are *defined* in fullweb_store — link it to use them).
   /// to_columnar serializes the request and session tables to `path` and
   /// returns the file size; from_columnar reloads them bit-identically,
-  /// skipping CLF parsing, interning and sessionization entirely.
+  /// skipping CLF parsing, interning and sessionization entirely. Its
+  /// errors carry category "io" when the file cannot be opened and "parse"
+  /// on any format violation.
   [[nodiscard]] support::Result<std::uint64_t> to_columnar(
       const std::string& path) const;
   [[nodiscard]] static support::Result<Dataset> from_columnar(

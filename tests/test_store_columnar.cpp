@@ -163,7 +163,7 @@ TEST(StoreColumnar, CompressesSortedSecondQuantizedTimes) {
           << "delta+varint should beat 8 bytes/timestamp by far";
     }
   }
-  auto back = fullweb::store::read_columnar(path);
+  auto back = Dataset::from_columnar(path);
   ASSERT_TRUE(back.ok()) << back.error().message;
   expect_bit_identical(ds.value(), back.value());
   std::remove(path.c_str());

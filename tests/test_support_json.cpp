@@ -1,7 +1,7 @@
 // Tests for the shared JSON reader/writer (support/json.h): parse shapes,
 // malformed-input rejection, deterministic writer output, and double
-// round-tripping — the properties the validation-report drift checker and
-// the bench_compare gates both lean on.
+// round-tripping — the properties the validation-report drift checker
+// leans on.
 #include "support/json.h"
 
 #include <gtest/gtest.h>

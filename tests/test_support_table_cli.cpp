@@ -124,5 +124,23 @@ TEST(CliDeathTest, MalformedNumberIsAUsageError) {
               "flag --scale expects a number, got 'abc'");
 }
 
+TEST(CliDeathTest, CountBelowItsMinimumIsAUsageError) {
+  CliFlags flags;
+  flags.define("threads", "0", "worker threads");
+  flags.define("reps", "3", "repetitions");
+  flags.define("shards", "4", "shard count");
+  const char* argv[] = {"prog", "--threads", "-1", "--reps=0", "--shards",
+                        "0"};
+  ASSERT_TRUE(flags.parse(6, argv));
+  // A negative count must not wrap to a huge size...
+  EXPECT_EXIT((void)flags.get_count("threads"), testing::ExitedWithCode(2),
+              "flag --threads expects an integer >= 0, got '-1'");
+  // ...a count below its own minimum is rejected...
+  EXPECT_EXIT((void)flags.get_count("reps", 1), testing::ExitedWithCode(2),
+              "flag --reps expects an integer >= 1, got '0'");
+  // ...and zero is a valid count where the minimum allows it.
+  EXPECT_EQ(flags.get_count("shards"), 0u);
+}
+
 }  // namespace
 }  // namespace fullweb::support

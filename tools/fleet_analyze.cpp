@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
                "periodic rolling-window snapshots per shard in --online mode");
   if (!flags.parse(argc, argv)) return 2;
 
-  const auto n_synth = static_cast<std::size_t>(flags.get_int("synthetic"));
+  const std::size_t n_synth = flags.get_count("synthetic");
   std::vector<Dataset> shards;
   if (n_synth > 0) {
     shards = synthesize_shards(n_synth, static_cast<std::uint64_t>(
@@ -312,14 +312,13 @@ int main(int argc, char** argv) {
   }
 
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads"));
+  const std::size_t threads = flags.get_count("threads");
   const bool fast = flags.get_bool("fast");
   const double interval_hours = flags.get_double("interval-hours");
   const bool include_shards = !flags.get_bool("no-shards");
 
   if (flags.get_bool("online")) {
-    const auto snapshots =
-        static_cast<std::size_t>(flags.get_int("online-snapshots"));
+    const std::size_t snapshots = flags.get_count("online-snapshots");
     const std::string json = run_online_fleet(shards, seed, snapshots, false);
     if (flags.get_bool("check-determinism")) {
       const std::string replay = run_online_fleet(shards, seed, snapshots, true);

@@ -87,8 +87,7 @@ int main(int argc, char** argv) {
   }
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
 
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads"));
-  support::Executor executor(threads);
+  support::Executor executor(flags.get_count("threads"));
   options.executor = &executor;
 
   std::printf("fullweb_selftest: profile=%s seed=%llu threads=%zu\n",
