@@ -41,6 +41,10 @@ endif()
 # range-checks counts before they become sizes. test_stats_fft covers the
 # Bluestein padding and the packed real-input halves; test_tail_curvature
 # covers the per-replicate samples of the Monte-Carlo curvature test.
+# test_tail_llcd and test_tail_hill cover the two tail kernels' index math:
+# LLCD's regression suffix found by binary search over the plot and its
+# tail-sample count over the sorted sample, and Hill's walk over a top set
+# that may be shorter than the tail fraction asks for, or empty.
 # test_weblog_parser_identity's exact-size buffers make any vector-scan
 # read past a chunk or token end an ASan stop, which is the memory-safety
 # half of the SIMD bit-identity contract.
@@ -56,7 +60,8 @@ endif()
 # through the chunk reader's carried partial lines and the sessionizer's
 # list splices and map erases, where a dangling iterator would live.
 set(FULLWEB_ASAN_TESTS
-  test_stats_fft test_tail_curvature test_support_json
+  test_stats_fft test_tail_curvature test_tail_llcd test_tail_hill
+  test_support_json
   test_support_table_cli test_edge_inputs
   test_validation test_weblog_corpus test_weblog_parser_identity
   test_store_columnar test_online_sketch test_online_analyzer

@@ -127,9 +127,10 @@ OnlineSnapshot OnlineAnalyzer::snapshot() const {
     s.window_last_bin = last_abin_;
     s.counts = stats::MomentSummary::of(win);
     s.kpss.assign(stats::kpss_test(win, opts_.kpss_null));
-    s.hurst_vt.assign(lrd::variance_time_hurst(win));
-    s.frs.assign(
-        frs_memory_from_counts(win, FrsOptions{opts_.frs_scales, 4}));
+    // Variance-time and FRS read the same block variances of the window.
+    const stats::PrefixMoments pm(win);
+    s.hurst_vt.assign(lrd::variance_time_hurst(pm));
+    s.frs.assign(frs_memory_from_counts(pm, FrsOptions{opts_.frs_scales, 4}));
   } else {
     s.kpss.error = "empty window";
     s.hurst_vt.error = "empty window";
@@ -152,9 +153,11 @@ OnlineSnapshot OnlineAnalyzer::snapshot() const {
     const std::vector<double> sample =
         sketch_.sample_values(opts_.tail_subsample, rng);
     s.llcd.assign(tail::llcd_fit(sample));
-    s.p50 = sketch_.quantile(0.50);
-    s.p90 = sketch_.quantile(0.90);
-    s.p99 = sketch_.quantile(0.99);
+    static constexpr double kQs[] = {0.50, 0.90, 0.99};
+    const std::vector<double> q = sketch_.quantiles(kQs);
+    s.p50 = q[0];
+    s.p90 = q[1];
+    s.p99 = q[2];
   } else {
     s.hill.error = "empty tail sample";
     s.llcd.error = "empty tail sample";

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "stats/prefix_moments.h"
-
 namespace fullweb::online {
 
 using support::Error;
@@ -11,21 +9,24 @@ using support::Result;
 
 Result<FrsEstimate> frs_memory_from_counts(std::span<const double> counts,
                                            const FrsOptions& options) {
+  return frs_memory_from_counts(stats::PrefixMoments(counts), options);
+}
+
+Result<FrsEstimate> frs_memory_from_counts(const stats::PrefixMoments& pm,
+                                           const FrsOptions& options) {
   const std::size_t scales = options.scales < 2 ? 2 : options.scales;
   const std::size_t min_blocks =
       options.min_blocks < 2 ? 2 : options.min_blocks;
 
-  // One compensated prefix pass; every scale's block-sum variance is then
-  // O(blocks) lookups. aggregated_variance gives the variance of block
-  // *means*; block sums differ by the factor s^2, i.e. + 2 log2 s in log
-  // space — folded into the regression ordinate below.
-  const stats::PrefixMoments pm(counts);
-
+  // Every scale's block-sum variance is O(blocks) prefix lookups.
+  // aggregated_variance gives the variance of block *means*; block sums
+  // differ by the factor s^2, i.e. + 2 log2 s in log space — folded into
+  // the regression ordinate below.
   FrsEstimate est;
   std::vector<double> xs, ys;
   std::size_t scale = 1;
   for (std::size_t j = 0; j < scales; ++j, scale <<= 1) {
-    const std::size_t blocks = counts.size() / scale;
+    const std::size_t blocks = pm.size() / scale;
     if (blocks < min_blocks) break;
     const double mean_var = pm.aggregated_variance(scale);
     const double sum_var =

@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "stats/prefix_moments.h"
 #include "support/result.h"
 
 namespace fullweb::online {
@@ -49,5 +50,10 @@ struct FrsEstimate {
 /// rather than producing a garbage slope.
 [[nodiscard]] support::Result<FrsEstimate> frs_memory_from_counts(
     std::span<const double> counts, const FrsOptions& options = {});
+
+/// Same, against a prebuilt prefix-moment structure of the counts (shared
+/// with the variance-time estimator on the same window).
+[[nodiscard]] support::Result<FrsEstimate> frs_memory_from_counts(
+    const stats::PrefixMoments& pm, const FrsOptions& options = {});
 
 }  // namespace fullweb::online

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "online/alias_table.h"
 
@@ -140,30 +141,60 @@ std::vector<double> TailSketch::top_values() const {
   return out;
 }
 
-double TailSketch::quantile(double q) const {
-  if (accepted_ == 0) return std::numeric_limits<double>::quiet_NaN();
-  q = std::clamp(q, 0.0, 1.0);
+std::vector<double> TailSketch::quantiles(std::span<const double> qs) const {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> out(qs.size(), kNaN);
+  if (accepted_ == 0) return out;
 
-  // Merge the two retained sets into one ascending weighted empirical
-  // distribution. Each body survivor stands in for an equal share of the
-  // unretained body population.
+  // Each result is the first value whose running weight reaches q * count,
+  // so visit the targets in ascending order during one walk of the CDF.
+  std::vector<std::pair<double, std::size_t>> targets;  // (target, index)
+  targets.reserve(qs.size());
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    if (!std::isnan(qs[i]))
+      targets.emplace_back(
+          std::clamp(qs[i], 0.0, 1.0) * static_cast<double>(accepted_), i);
+  if (targets.empty()) return out;
+  std::sort(targets.begin(), targets.end());
+
+  // The retained sets form one ascending weighted empirical distribution,
+  // ordered by (value, weight). Each body survivor stands in for an equal
+  // share of the unretained body population. The top set is already in
+  // descending value order, so only the body values need sorting; walking
+  // the top set backwards merges the two.
   const double body_pop =
       static_cast<double>(accepted_) - static_cast<double>(top_.size());
   const double body_w =
       body_.empty() ? 0.0 : body_pop / static_cast<double>(body_.size());
-  std::vector<std::pair<double, double>> cdf;  // (value, weight)
-  cdf.reserve(retained());
-  for (const Item& it : top_) cdf.emplace_back(it.value, 1.0);
-  for (const Item& it : body_) cdf.emplace_back(it.value, body_w);
-  std::sort(cdf.begin(), cdf.end());
+  std::vector<double> body;
+  body.reserve(body_.size());
+  for (const Item& it : body_) body.push_back(it.value);
+  std::sort(body.begin(), body.end());
 
-  const double target = q * static_cast<double>(accepted_);
+  auto top = top_.rbegin();
+  auto b = body.begin();
+  std::size_t next = 0;
   double cum = 0.0;
-  for (const auto& [v, w] : cdf) {
-    cum += w;
-    if (cum >= target) return v;
+  double v = 0.0;
+  while (next < targets.size() && (top != top_.rend() || b != body.end())) {
+    const bool take_top =
+        b == body.end() ||
+        (top != top_.rend() &&
+         std::pair(top->value, 1.0) <= std::pair(*b, body_w));
+    if (take_top) {
+      v = (top++)->value;
+      cum += 1.0;
+    } else {
+      v = *b++;
+      cum += body_w;
+    }
+    for (; next < targets.size() && cum >= targets[next].first; ++next)
+      out[targets[next].second] = v;
   }
-  return cdf.back().first;
+  // Targets the summed weight never reached take the largest value, which
+  // is where the walk ended.
+  for (; next < targets.size(); ++next) out[targets[next].second] = v;
+  return out;
 }
 
 std::vector<double> TailSketch::sample_values(std::size_t max_n,

@@ -94,10 +94,12 @@ class TailSketch {
     return body_;
   }
 
-  /// Weighted empirical quantile (q in [0, 1]) over the retained set: top
-  /// items carry weight 1, body survivors each stand in for an equal share
-  /// of the unretained body. Exact when dropped() == 0. NaN when empty.
-  [[nodiscard]] double quantile(double q) const;
+  /// Weighted empirical quantiles over the retained set, one per entry of
+  /// `qs` in the caller's order (each q clamped to [0, 1]): top items carry
+  /// weight 1, body survivors each stand in for an equal share of the
+  /// unretained body. The merged distribution is built once for all qs.
+  /// Exact when dropped() == 0. NaN for a NaN q, and for every q when empty.
+  [[nodiscard]] std::vector<double> quantiles(std::span<const double> qs) const;
 
   /// A value sample suitable for the batch distribution fitters
   /// (tail::llcd_fit): when nothing was dropped and the retained multiset

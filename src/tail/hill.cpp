@@ -19,9 +19,10 @@ Result<HillPlot> hill_plot_from_top(std::span<const double> top_desc,
   if (n_total > 0 && k_max > n_total - 1) k_max = n_total - 1;  // needs X_(k+1)
   // A producer that retained fewer order statistics than the fraction asks
   // for (a sketch whose top set is smaller than the deep tail) truncates the
-  // plot to its exact prefix rather than substituting sampled values.
-  if (top_desc.size() > 0 && k_max > top_desc.size() - 1)
-    k_max = top_desc.size() - 1;
+  // plot to its exact prefix rather than substituting sampled values; an
+  // empty top set leaves no plot at all.
+  if (k_max >= top_desc.size())
+    k_max = top_desc.empty() ? 0 : top_desc.size() - 1;
   if (k_max < std::max<std::size_t>(options.min_k, 2) + 1)
     return Error::insufficient_data("hill_plot: sample too small for tail fraction");
 
@@ -29,9 +30,12 @@ Result<HillPlot> hill_plot_from_top(std::span<const double> top_desc,
   plot.k.reserve(k_max);
   plot.alpha.reserve(k_max);
   double sum_log = 0.0;  // running sum of log X_(1..k)
+  // Step k's log X_(k+1) is step k+1's log X_(k): one log per statistic.
+  double log_next = std::log(top_desc[0]);
   for (std::size_t k = 1; k <= k_max; ++k) {
-    sum_log += std::log(top_desc[k - 1]);
-    const double h = sum_log / static_cast<double>(k) - std::log(top_desc[k]);
+    sum_log += log_next;
+    log_next = std::log(top_desc[k]);
+    const double h = sum_log / static_cast<double>(k) - log_next;
     if (!(h > kHillTieEpsilon)) {
       // Ties at the top of the sample: H = 0 means alpha undefined here.
       plot.k.push_back(k);

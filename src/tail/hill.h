@@ -60,7 +60,7 @@ struct HillEstimate {
 /// bit-identical to the full-sample one. When top_desc is shorter than
 /// k_max + 1 the plot is truncated to the available prefix (still exact as
 /// far as it goes); errors when even the truncated range is below the
-/// minimum usable k.
+/// minimum usable k, as it is for an empty top_desc.
 [[nodiscard]] support::Result<HillPlot> hill_plot_from_top(
     std::span<const double> top_desc, std::size_t n_total,
     const HillOptions& options = {});

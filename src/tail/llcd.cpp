@@ -35,22 +35,21 @@ struct FitAttempt {
   bool ok = false;
 };
 
-/// Regress over plot points with x >= theta; count raw tail samples too.
-/// `lx`/`ly` are caller-owned scratch, reused across theta attempts so the
-/// auto-theta scan does not reallocate per fraction.
-FitAttempt fit_above(const LlcdPlot& plot, std::span<const double> xs,
-                     double theta, std::size_t min_points,
-                     std::vector<double>& lx, std::vector<double>& ly) {
+/// Regress over the plot points with x >= theta, read in place: log10_x is
+/// ascending, so those points are the suffix that starts at the first
+/// log10 x >= log10 theta. A negative theta has a NaN logarithm that no
+/// point reaches, so its suffix is empty. Leaves tail_samples to the
+/// caller.
+FitAttempt fit_above(const LlcdPlot& plot, double theta,
+                     std::size_t min_points) {
   FitAttempt out;
   const double log_theta = std::log10(theta);
-  lx.clear();
-  ly.clear();
-  for (std::size_t i = 0; i < plot.log10_x.size(); ++i) {
-    if (plot.log10_x[i] >= log_theta) {
-      lx.push_back(plot.log10_x[i]);
-      ly.push_back(plot.log10_ccdf[i]);
-    }
-  }
+  const auto first = static_cast<std::size_t>(
+      std::partition_point(plot.log10_x.begin(), plot.log10_x.end(),
+                           [&](double lx) { return !(lx >= log_theta); }) -
+      plot.log10_x.begin());
+  const auto lx = std::span<const double>(plot.log10_x).subspan(first);
+  const auto ly = std::span<const double>(plot.log10_ccdf).subspan(first);
   if (lx.size() < min_points) return out;
   const auto f = stats::ols(lx, ly);
   if (!(f.slope < 0.0)) return out;  // a rising CCDF tail is not Pareto-like
@@ -59,10 +58,17 @@ FitAttempt fit_above(const LlcdPlot& plot, std::span<const double> xs,
   out.fit.r_squared = f.r_squared;
   out.fit.theta = theta;
   out.fit.points = lx.size();
-  out.fit.tail_samples = static_cast<std::size_t>(
-      std::count_if(xs.begin(), xs.end(), [&](double v) { return v >= theta; }));
   out.ok = true;
   return out;
+}
+
+/// The chosen fit with its raw tail count: every sample >= theta. Counted
+/// for the chosen theta only, so the auto-theta scan does not count per
+/// try. An explicit theta may be <= 0, where non-positive samples count too.
+LlcdFit with_tail_samples(LlcdFit fit, std::span<const double> xs) {
+  fit.tail_samples = static_cast<std::size_t>(std::count_if(
+      xs.begin(), xs.end(), [&](double v) { return v >= fit.theta; }));
+  return fit;
 }
 
 }  // namespace
@@ -72,14 +78,12 @@ Result<LlcdFit> llcd_fit(std::span<const double> xs, const LlcdOptions& options)
   if (!plot_r) return plot_r.error();
   const LlcdPlot& plot = plot_r.value();
 
-  std::vector<double> lx, ly;  // regression scratch shared by every attempt
-
   // Explicit theta wins; then an explicit tail fraction; else scan.
   if (!std::isnan(options.theta)) {
-    const auto a = fit_above(plot, xs, options.theta, options.min_points, lx, ly);
+    const auto a = fit_above(plot, options.theta, options.min_points);
     if (!a.ok)
       return Error::insufficient_data("llcd_fit: too few points above theta");
-    return a.fit;
+    return with_tail_samples(a.fit, xs);
   }
 
   // Sorted positive samples, for the quantile-based thetas.
@@ -94,11 +98,11 @@ Result<LlcdFit> llcd_fit(std::span<const double> xs, const LlcdOptions& options)
   if (options.tail_fraction > 0.0) {
     const double q = std::clamp(1.0 - options.tail_fraction, 0.0, 1.0);
     const double theta = stats::quantile_sorted(positive, q);
-    const auto a = fit_above(plot, xs, theta, options.min_points, lx, ly);
+    const auto a = fit_above(plot, theta, options.min_points);
     if (!a.ok)
       return Error::insufficient_data(
           "llcd_fit: too few distinct points in requested tail");
-    return a.fit;
+    return with_tail_samples(a.fit, xs);
   }
 
   // Auto-theta: scan tail fractions from half the sample down to 1%, keep
@@ -110,13 +114,13 @@ Result<LlcdFit> llcd_fit(std::span<const double> xs, const LlcdOptions& options)
   FitAttempt best;
   for (double frac : kFractions) {
     const double theta = stats::quantile_sorted(positive, 1.0 - frac);
-    const auto a = fit_above(plot, xs, theta, options.min_points, lx, ly);
+    const auto a = fit_above(plot, theta, options.min_points);
     if (a.ok && (!best.ok || a.fit.r_squared > best.fit.r_squared)) best = a;
   }
   if (!best.ok)
     return Error::insufficient_data(
         "llcd_fit: no tail fraction yields enough distinct points");
-  return best.fit;
+  return with_tail_samples(best.fit, xs);
 }
 
 }  // namespace fullweb::tail

@@ -1,22 +1,34 @@
-// Golden-value regression gate for the cached kernel paths.
+// Golden-value regression gate for the cached kernel paths and the online
+// snapshot.
 //
 // The FFT plan cache and the fGn circulant-spectrum cache must be
 // bit-transparent: a cache hit, a cache miss, and any executor width must
 // all produce the same doubles to the last bit. These tests pin exact
 // 64-bit patterns (captured on the reference build) for fGn draws, a
-// Whittle Hurst estimate, and a Hill estimate, and additionally compare
-// cache hit-vs-miss runs directly. If an "optimization" ever changes a bit
+// Whittle Hurst estimate, a Hill estimate, the three LLCD theta paths and
+// an FRS memory estimate, and additionally compare cache hit-vs-miss runs
+// directly. GoldenOnline pins the bytes of every periodic OnlineAnalyzer
+// snapshot of a fixed stream by one digest, so a change to any estimator
+// the snapshot reports shows here. If an "optimization" ever changes a bit
 // here, it changed results, not just speed.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <numbers>
+#include <string_view>
 #include <vector>
 
 #include "lrd/whittle.h"
+#include "online/analyzer.h"
+#include "online/frs_memory.h"
 #include "stats/distributions.h"
+#include "stats/prefix_moments.h"
 #include "support/rng.h"
 #include "tail/hill.h"
+#include "tail/llcd.h"
 #include "timeseries/fgn.h"
 
 namespace fullweb {
@@ -80,6 +92,170 @@ TEST(GoldenHill, EstimateMatchesReferenceBits) {
   ASSERT_TRUE(hill.ok());
   EXPECT_TRUE(hill.value().stabilized);
   EXPECT_EQ(bits(hill.value().alpha), kHillAlpha);
+}
+
+/// Exact bits of one LLCD fit, for the three theta paths below.
+struct LlcdGolden {
+  std::uint64_t alpha, stderr_alpha, r_squared, theta;
+  std::size_t points, tail_samples;
+};
+
+void expect_llcd(const support::Result<tail::LlcdFit>& fit,
+                 const LlcdGolden& g) {
+  ASSERT_TRUE(fit.ok()) << fit.error().message;
+  const tail::LlcdFit& f = fit.value();
+  EXPECT_EQ(bits(f.alpha), g.alpha) << std::hex << bits(f.alpha);
+  EXPECT_EQ(bits(f.stderr_alpha), g.stderr_alpha)
+      << std::hex << bits(f.stderr_alpha);
+  EXPECT_EQ(bits(f.r_squared), g.r_squared) << std::hex << bits(f.r_squared);
+  EXPECT_EQ(bits(f.theta), g.theta) << std::hex << bits(f.theta);
+  EXPECT_EQ(f.points, g.points);
+  EXPECT_EQ(f.tail_samples, g.tail_samples);
+}
+
+/// Pareto(1.3) transfer sizes in whole bytes (so the body is full of ties),
+/// with every 40th size zero like a 304 response.
+std::vector<double> pareto_bytes(std::size_t n, std::uint64_t seed) {
+  const stats::Pareto dist(1.3, 10.0);
+  support::Rng rng(seed);
+  std::vector<double> xs(n);
+  for (std::size_t i = 0; i < n; ++i)
+    xs[i] = i % 40 == 0 ? 0.0 : std::floor(dist.sample(rng));
+  return xs;
+}
+
+// alpha, stderr_alpha, r_squared, theta; points, tail_samples.
+constexpr LlcdGolden kLlcdAuto{
+    0x3ff3f6775d8aadc4ULL, 0x3f71066da0273deeULL, 0x3fefedf27e0470a8ULL,
+    0x4031000000000000ULL, 201, 1502};  // theta 17
+constexpr LlcdGolden kLlcdFraction{
+    0x3ff3f647e6b8ed95ULL, 0x3f7d36cf0f4f913eULL, 0x3fefd9e4cb461014ULL,
+    0x4052051eb851eb80ULL, 145, 234};  // theta 72.08
+constexpr LlcdGolden kLlcdTheta{
+    0x3ff40309a850bcceULL, 0x3f75b8afba8752d1ULL, 0x3fefe62991f10e61ULL,
+    0x4044000000000000ULL, 178, 510};  // theta 40
+
+TEST(GoldenLlcd, AutoThetaMatchesReferenceBits) {
+  expect_llcd(tail::llcd_fit(pareto_bytes(3000, 2024)), kLlcdAuto);
+}
+
+TEST(GoldenLlcd, TailFractionMatchesReferenceBits) {
+  tail::LlcdOptions opts;
+  opts.tail_fraction = 0.08;
+  expect_llcd(tail::llcd_fit(pareto_bytes(3000, 2024), opts), kLlcdFraction);
+}
+
+TEST(GoldenLlcd, ExplicitThetaMatchesReferenceBits) {
+  tail::LlcdOptions opts;
+  opts.theta = 40.0;
+  expect_llcd(tail::llcd_fit(pareto_bytes(3000, 2024), opts), kLlcdTheta);
+}
+
+/// Per-second arrival counts whose rate swings with a 1,024-s period, so
+/// the block-sum variance grows faster than the block length.
+std::vector<double> swinging_counts(std::size_t n, std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<double> counts(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double phase = static_cast<double>(i) / 1024.0;
+    const double rate = 4.0 + 3.0 * std::sin(2.0 * std::numbers::pi * phase);
+    counts[i] = std::floor(2.0 * rate * rng.uniform_pos());
+  }
+  return counts;
+}
+
+// h and r_squared, then the block-sum variance at scales 1, 2, ..., 128.
+constexpr std::uint64_t kFrsH = 0x3fed028d957b6168ULL;  // 0.9065616530961451
+constexpr std::uint64_t kFrsR2 = 0x3feff1b7b059a9cbULL;  // 0.9982565349903835
+constexpr std::uint64_t kFrsVariance[] = {
+    0x4026f194ad362e4aULL, 0x40400dce054690caULL, 0x40593dfa3fcc9ea8ULL,
+    0x4075b1d97b30f8ccULL, 0x40939fc0e7bc3c5cULL, 0x40b2b897f1f9acffULL,
+    0x40d1f31d40bb89baULL, 0x40f0f03dc4dc91fbULL};
+
+TEST(GoldenFrs, EstimateMatchesReferenceBits) {
+  // The form the online snapshot calls, on the prefix moments it shares
+  // with variance-time. 4,000 bins: from scale 32 up the block count is
+  // odd or a partial block trails, which the estimate drops.
+  const auto counts = swinging_counts(4000, 19);
+  const auto est = online::frs_memory_from_counts(
+      stats::PrefixMoments(counts), online::FrsOptions{8, 4});
+  ASSERT_TRUE(est.ok()) << est.error().message;
+  const online::FrsEstimate& e = est.value();
+  EXPECT_EQ(bits(e.h), kFrsH) << std::hex << bits(e.h);
+  EXPECT_EQ(bits(e.r_squared), kFrsR2) << std::hex << bits(e.r_squared);
+  ASSERT_EQ(e.points.size(), std::size(kFrsVariance));
+  for (std::size_t j = 0; j < e.points.size(); ++j) {
+    const std::size_t scale = std::size_t{1} << j;
+    const std::size_t blocks = counts.size() / scale;
+    EXPECT_EQ(e.points[j].scale_bins, scale);
+    EXPECT_EQ(e.points[j].blocks, blocks);
+    EXPECT_EQ(bits(e.points[j].variance), kFrsVariance[j])
+        << "scale " << scale << std::hex << " " << bits(e.points[j].variance);
+    // The same variance without prefix sums: sum each block, then take
+    // the population variance of the sums in two passes.
+    std::vector<double> sums(blocks, 0.0);
+    for (std::size_t i = 0; i < blocks * scale; ++i)
+      sums[i / scale] += counts[i];
+    double mean = 0.0;
+    for (double v : sums) mean += v;
+    mean /= static_cast<double>(blocks);
+    double ss = 0.0;
+    for (double v : sums) ss += (v - mean) * (v - mean);
+    EXPECT_NEAR(e.points[j].variance / (ss / static_cast<double>(blocks)), 1.0,
+                1e-9)
+        << "scale " << scale;
+  }
+}
+
+/// FNV-1a over the bytes of each document in turn.
+class Fnv1a {
+ public:
+  void add(std::string_view s) {
+    for (unsigned char c : s) h_ = (h_ ^ c) * 0x100000001b3ULL;
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+constexpr std::uint64_t kOnlineDigest = 0x2e4238ea98d4d681ULL;
+constexpr std::size_t kOnlineSnapshots = 49;
+
+TEST(GoldenOnline, SnapshotJsonMatchesReferenceDigest) {
+  // Four hours of arrivals whose rate swings with a one-hour period, so the
+  // 4,096-s window slides and the variance-time and FRS fits see structure;
+  // transfer sizes are pareto_bytes-like, so the sketch starts exact, then
+  // drops body items, and its quantiles cross tied values. One
+  // snapshot every 300 s of stream time, as perfbench's clarknet_stream
+  // takes them, plus the final one.
+  online::OnlineAnalyzer an(online::OnlineOptions{}, support::Rng(20));
+  support::Rng rng(31);
+  const stats::Pareto size(1.3, 10.0);
+  Fnv1a digest;
+  std::size_t snapshots = 0;
+  double t = 1.0e6;
+  double next_snapshot = t + 300.0;
+  for (std::uint64_t i = 0; t < 1.0e6 + 4.0 * 3600.0; ++i) {
+    const double rate =
+        4.0 + 3.0 * std::sin(2.0 * std::numbers::pi * t / 3600.0);
+    t += -std::log(rng.uniform_pos()) / rate;
+    an.add(t, i % 40 == 0 ? 0.0 : std::floor(size.sample(rng)));
+    if (t >= next_snapshot) {
+      next_snapshot += 300.0;
+      digest.add(an.snapshot_json());
+      ++snapshots;
+    }
+  }
+  const online::OnlineSnapshot last = an.snapshot();
+  digest.add(last.to_json());
+  ++snapshots;
+  // The digest covers every estimator the snapshot reports, not error text.
+  EXPECT_TRUE(last.kpss.value && last.hurst_vt.value && last.frs.value &&
+              last.hill.value && last.llcd.value);
+  EXPECT_GT(an.sketch().dropped(), 0u);
+  EXPECT_EQ(snapshots, kOnlineSnapshots);
+  EXPECT_EQ(digest.value(), kOnlineDigest) << std::hex << digest.value();
 }
 
 }  // namespace

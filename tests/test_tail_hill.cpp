@@ -6,6 +6,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "stats/distributions.h"
@@ -87,6 +88,17 @@ TEST(HillEstimate, WindowBoundsReported) {
 TEST(HillPlot, ErrorsOnTinySample) {
   const std::vector<double> xs = {1, 2, 3, 4, 5};
   EXPECT_FALSE(hill_plot(xs, {}).ok());
+}
+
+TEST(HillPlot, EmptyTopSetIsInsufficientData) {
+  // n_total asks for a deep tail, but the producer retained no order
+  // statistics: nothing may be read, not even top_desc[0].
+  std::vector<double> empty;
+  empty.reserve(4);
+  const auto plot = hill_plot_from_top(empty, 1000);
+  ASSERT_FALSE(plot.ok());
+  EXPECT_EQ(plot.error().category, "insufficient_data");
+  EXPECT_FALSE(hill_plot_from_top(std::span<const double>{}, 1000).ok());
 }
 
 TEST(HillPlot, IgnoresNonPositiveSamples) {

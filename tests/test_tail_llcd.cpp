@@ -95,6 +95,37 @@ TEST(LlcdFit, ExplicitThetaRestrictsRange) {
   EXPECT_DOUBLE_EQ(fit.value().theta, 20.0);
 }
 
+TEST(LlcdFit, ExplicitThetaBelowTheSampleKeepsEveryPoint) {
+  // Non-positive samples never enter the plot, but an explicit theta counts
+  // every raw sample at or above it: all 1000 positives at theta = 0.5, and
+  // the zeros too at theta = 0 (log10 0 = -inf admits every plot point).
+  auto xs = pareto_sample(1.5, 1.0, 1000, 63);
+  for (int i = 0; i < 5; ++i) {
+    xs.push_back(0.0);
+    xs.push_back(-1.0 - i);
+  }
+  const auto plot = llcd_plot(xs);
+  ASSERT_TRUE(plot.ok());
+  for (const double theta : {0.5, 0.0}) {
+    LlcdOptions opts;
+    opts.theta = theta;
+    const auto fit = llcd_fit(xs, opts);
+    ASSERT_TRUE(fit.ok()) << theta;
+    EXPECT_EQ(fit.value().points, plot.value().log10_x.size()) << theta;
+    EXPECT_EQ(fit.value().tail_samples, theta > 0.0 ? 1000u : 1005u);
+  }
+}
+
+TEST(LlcdFit, NegativeExplicitThetaErrors) {
+  // log10 of a negative theta is NaN, which no plot point reaches.
+  const auto xs = pareto_sample(1.5, 1.0, 1000, 64);
+  LlcdOptions opts;
+  opts.theta = -1.0;
+  const auto fit = llcd_fit(xs, opts);
+  ASSERT_FALSE(fit.ok());
+  EXPECT_EQ(fit.error().category, "insufficient_data");
+}
+
 TEST(LlcdFit, TailFractionSelectsQuantileCutoff) {
   const auto xs = pareto_sample(1.2, 1.0, 20000, 62);
   LlcdOptions opts;

@@ -244,9 +244,11 @@ std::string run_online_fleet(const std::vector<Dataset>& shards,
   }
   w.key("quantiles");
   w.begin_object();
-  w.field("p50", fleet.quantile(0.50));
-  w.field("p90", fleet.quantile(0.90));
-  w.field("p99", fleet.quantile(0.99));
+  static constexpr double kQs[] = {0.50, 0.90, 0.99};
+  const std::vector<double> q = fleet.quantiles(kQs);
+  w.field("p50", q[0]);
+  w.field("p90", q[1]);
+  w.field("p99", q[2]);
   w.end_object();
   w.end_object();
   w.end_object();
