@@ -4,7 +4,8 @@
 # CMakeLists.txt). Configures a nested build of the same source tree with
 # FULLWEB_SANITIZE=address,undefined, builds only the targets that exercise
 # parsers, the kernels that size their own scratch, and the validation
-# harness, and runs them. Any
+# harness, and runs them. UBSan includes float-cast-overflow, which
+# -fsanitize=undefined leaves out (see the top-level CMakeLists.txt). Any
 # report aborts the test (halt_on_error=1, -fno-sanitize-recover). The build
 # also treats warnings as errors (FULLWEB_WERROR), so a new compiler warning
 # in the libraries or these tests fails the gate.
@@ -40,7 +41,10 @@ endif()
 # covers CliFlags, which parses argv (input from outside the program) and
 # range-checks counts before they become sizes. test_stats_fft covers the
 # Bluestein padding and the packed real-input halves; test_tail_curvature
-# covers the per-replicate samples of the Monte-Carlo curvature test.
+# covers the per-replicate samples of the Monte-Carlo curvature test, their
+# radix sort and the quantile index the statistic's cut is read at.
+# test_stats_descriptive covers stats::quantile_sorted itself, whose
+# position-to-index cast float-cast-overflow checks (a NaN q included).
 # test_tail_llcd and test_tail_hill cover the two tail kernels' index math:
 # LLCD's regression suffix found by binary search over the plot and its
 # tail-sample count over the sorted sample, and Hill's walk over a top set
@@ -65,7 +69,8 @@ set(FULLWEB_ASAN_TESTS
   test_support_table_cli test_edge_inputs
   test_validation test_weblog_corpus test_weblog_parser_identity
   test_store_columnar test_online_sketch test_online_analyzer
-  test_stats_periodogram test_weblog_streaming test_weblog_sessionizer)
+  test_stats_periodogram test_weblog_streaming test_weblog_sessionizer
+  test_stats_descriptive)
 
 message(STATUS "[asan] building ${FULLWEB_ASAN_TESTS}")
 execute_process(

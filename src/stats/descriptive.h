@@ -69,6 +69,7 @@ void minmax_prefix_walk(std::span<const double> cum, double base, double step,
 [[nodiscard]] double quantile(std::span<const double> xs, double q);
 
 /// Quantile on data the caller has already sorted ascending (no copy).
+/// A NaN q yields NaN.
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q) noexcept;
 
 /// Five-number summary plus mean/sd, used in workload reports.

@@ -59,12 +59,16 @@ struct CurvatureResult {
 };
 
 /// Run the test. Errors if the sample is too small (< ~50 tail points) or
-/// the null model cannot be fitted.
+/// the null model cannot be fitted, and with invalid_argument for a NaN
+/// tail_fraction or zero replicates (no simulation, so no p-value).
 [[nodiscard]] support::Result<CurvatureResult> curvature_test(
     std::span<const double> xs, support::Rng& rng,
     const CurvatureOptions& options = {});
 
-/// The curvature statistic alone (exposed for tests).
+/// The curvature statistic alone (exposed for tests): the quadratic
+/// coefficient over the llcd_plot points at or above the (1 -
+/// tail_fraction) quantile of their log10 x. invalid_argument for a NaN
+/// tail_fraction.
 [[nodiscard]] support::Result<double> llcd_curvature(std::span<const double> xs,
                                                      double tail_fraction);
 

@@ -7,7 +7,9 @@
 // 64-bit patterns (captured on the reference build) for fGn draws, a
 // Whittle Hurst estimate, a Hill estimate, the three LLCD theta paths and
 // an FRS memory estimate, and additionally compare cache hit-vs-miss runs
-// directly. GoldenOnline pins the bytes of every periodic OnlineAnalyzer
+// directly. GoldenCurvature pins Downey's curvature test (statistic,
+// p-value and fitted null) for both nulls on continuous and tied samples.
+// GoldenOnline pins the bytes of every periodic OnlineAnalyzer
 // snapshot of a fixed stream by one digest, so a change to any estimator
 // the snapshot reports shows here. If an "optimization" ever changes a bit
 // here, it changed results, not just speed.
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <iterator>
 #include <numbers>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "stats/distributions.h"
 #include "stats/prefix_moments.h"
 #include "support/rng.h"
+#include "tail/curvature.h"
 #include "tail/hill.h"
 #include "tail/llcd.h"
 #include "timeseries/fgn.h"
@@ -205,6 +209,106 @@ TEST(GoldenFrs, EstimateMatchesReferenceBits) {
                 1e-9)
         << "scale " << scale;
   }
+}
+
+/// Exact bits of one curvature test: the statistic, the Monte-Carlo p-value
+/// and the two fitted null-model parameters.
+struct CurvatureGolden {
+  std::uint64_t curvature, p_value, param1, param2;
+};
+
+void expect_curvature(std::span<const double> xs, tail::TailModel model,
+                      std::uint64_t seed, const CurvatureGolden& g) {
+  support::Rng rng(seed);
+  tail::CurvatureOptions opts;
+  opts.model = model;
+  opts.replicates = 99;
+  const auto r = tail::curvature_test(xs, rng, opts);
+  ASSERT_TRUE(r.ok()) << r.error().message;
+  const tail::CurvatureResult& c = r.value();
+  EXPECT_EQ(bits(c.curvature), g.curvature) << std::hex << bits(c.curvature);
+  EXPECT_EQ(bits(c.p_value), g.p_value) << std::hex << bits(c.p_value);
+  EXPECT_EQ(bits(c.param1), g.param1) << std::hex << bits(c.param1);
+  EXPECT_EQ(bits(c.param2), g.param2) << std::hex << bits(c.param2);
+  EXPECT_EQ(c.replicates, 99U);
+}
+
+template <typename Dist>
+std::vector<double> draws(const Dist& dist, std::size_t n, std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<double> xs(n);
+  for (auto& x : xs) x = dist.sample(rng);
+  return xs;
+}
+
+/// Requests per session: whole numbers from 1 up with a Pareto tail, so
+/// the body is a few heavily tied values.
+std::vector<double> ceil_pareto(std::size_t n, std::uint64_t seed) {
+  auto xs = draws(stats::Pareto(1.2, 1.0), n, seed);
+  for (auto& x : xs) x = std::ceil(x);
+  return xs;
+}
+
+// curvature, p_value, param1, param2 for the Pareto and the lognormal null.
+constexpr CurvatureGolden kCurvParetoPareto{
+    0xbfb061cad8e59055ULL, 0x3ff0000000000000ULL, 0x3ff6c37096a9212cULL,
+    0x3ff9b25a691bf4aaULL};  // c2 -0.0640, p 1, alpha 1.423, k 1.606
+constexpr CurvatureGolden kCurvParetoLognormal{
+    0xbfb061cad8e59055ULL, 0x3f947ae147ae147bULL, 0x3fe6339dc7594cc7ULL,
+    0x3fe6b2b995bb1f13ULL};  // p 0.02, mu 0.694, sigma 0.709
+constexpr CurvatureGolden kCurvLognormalPareto{
+    0xbfda8704d3bbf761ULL, 0x3f947ae147ae147bULL, 0x3fea7d0c9afb0669ULL,
+    0x40059033a5a4ec3aULL};  // c2 -0.414, p 0.02, alpha 0.828, k 2.695
+constexpr CurvatureGolden kCurvLognormalLognormal{
+    0xbfda8704d3bbf761ULL, 0x3fee147ae147ae14ULL, 0x3fef65ce9a2846baULL,
+    0x3ff85df367757331ULL};  // p 0.94, mu 0.981, sigma 1.523
+constexpr CurvatureGolden kCurvTiedPareto{
+    0xbfd7a47547e83e03ULL, 0x3fc47ae147ae147bULL, 0x400251136db50670ULL,
+    0x4000000000000000ULL};  // c2 -0.369, p 0.16, alpha 2.290, k 2
+constexpr CurvatureGolden kCurvTiedLognormal{
+    0xbfd7a47547e83e03ULL, 0x3f947ae147ae147bULL, 0x3ff214196033e324ULL,
+    0x3fe71905b61700d9ULL};  // p 0.02, mu 1.130, sigma 0.722
+
+TEST(GoldenCurvature, ParetoSampleMatchesReferenceBits) {
+  const auto xs = draws(stats::Pareto(1.4, 1.0), 2000, 51);
+  expect_curvature(xs, tail::TailModel::kPareto, 52, kCurvParetoPareto);
+  expect_curvature(xs, tail::TailModel::kLognormal, 53, kCurvParetoLognormal);
+}
+
+TEST(GoldenCurvature, LognormalSampleMatchesReferenceBits) {
+  const auto xs = draws(stats::Lognormal(1.0, 1.5), 2000, 54);
+  expect_curvature(xs, tail::TailModel::kPareto, 55, kCurvLognormalPareto);
+  expect_curvature(xs, tail::TailModel::kLognormal, 56,
+                   kCurvLognormalLognormal);
+}
+
+TEST(GoldenCurvature, TiedIntegerSampleMatchesReferenceBits) {
+  const auto xs = ceil_pareto(3000, 57);
+  expect_curvature(xs, tail::TailModel::kPareto, 58, kCurvTiedPareto);
+  expect_curvature(xs, tail::TailModel::kLognormal, 59, kCurvTiedLognormal);
+}
+
+constexpr std::uint64_t kLlcdCurvatureHalf = 0xbfc3df28af62e095ULL;  // -0.1552
+constexpr std::uint64_t kLlcdCurvatureFifth = 0x3fd9274be9a88b92ULL;  // 0.3930
+
+TEST(GoldenCurvature, StatisticOnSignedTiedSampleMatchesReferenceBits) {
+  // Whole-number Pareto draws (ties) among zeros, negatives and both signs
+  // of zero side by side: the statistic drops every non-positive value but
+  // still counts it in the CCDF ranks.
+  auto xs = ceil_pareto(2000, 60);
+  for (std::size_t i = 0; i < xs.size(); i += 25) {
+    xs[i] = -0.0;
+    xs[i + 1] = 0.0;
+    xs[i + 2] = -static_cast<double>(i % 7) - 0.5;
+  }
+  const auto half = tail::llcd_curvature(xs, 0.5);
+  ASSERT_TRUE(half.ok()) << half.error().message;
+  EXPECT_EQ(bits(half.value()), kLlcdCurvatureHalf)
+      << std::hex << bits(half.value());
+  const auto fifth = tail::llcd_curvature(xs, 0.2);
+  ASSERT_TRUE(fifth.ok()) << fifth.error().message;
+  EXPECT_EQ(bits(fifth.value()), kLlcdCurvatureFifth)
+      << std::hex << bits(fifth.value());
 }
 
 /// FNV-1a over the bytes of each document in turn.

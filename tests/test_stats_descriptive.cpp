@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 namespace fullweb::stats {
@@ -57,6 +59,15 @@ TEST(Quantile, ClampsOutOfRangeQ) {
   const std::vector<double> xs = {1, 2, 3};
   EXPECT_DOUBLE_EQ(quantile(xs, -0.5), 1.0);
   EXPECT_DOUBLE_EQ(quantile(xs, 1.5), 3.0);
+}
+
+TEST(Quantile, NaNQIsNaN) {
+  // A NaN q has no position in the sample; it must not reach the index
+  // cast (UB) or come back as some sample value.
+  const std::vector<double> xs = {1, 2, 3};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(quantile_sorted(xs, nan)));
+  EXPECT_TRUE(std::isnan(quantile(xs, nan)));
 }
 
 TEST(Summarize, FiveNumbers) {

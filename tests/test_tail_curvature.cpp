@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <span>
 #include <vector>
 
+#include "stats/descriptive.h"
 #include "stats/distributions.h"
+#include "stats/regression.h"
 #include "support/rng.h"
+#include "tail/llcd.h"
 
 namespace fullweb::tail {
 namespace {
@@ -34,6 +44,101 @@ TEST(LlcdCurvature, ParetoNearZeroLognormalNegative) {
 
 TEST(LlcdCurvature, ErrorsOnTinySample) {
   EXPECT_FALSE(llcd_curvature(std::vector<double>{1, 2, 3}, 0.5).ok());
+}
+
+TEST(LlcdCurvature, RejectsNaNTailFraction) {
+  const auto xs = sample_from(stats::Pareto(1.5, 1.0), 1000, 20);
+  const auto c = llcd_curvature(xs, std::numeric_limits<double>::quiet_NaN());
+  ASSERT_FALSE(c.ok());
+  EXPECT_EQ(c.error().category, "invalid_argument");
+}
+
+/// The statistic by its definition: the LLCD plot, the (1 - tail_fraction)
+/// quantile of its log10 x as the cut, and the quadratic fit over every
+/// plot point at or above the cut.
+support::Result<double> reference_curvature(std::span<const double> xs,
+                                            double tail_fraction) {
+  auto plot_r = llcd_plot(xs);
+  if (!plot_r) return plot_r.error();
+  const LlcdPlot& plot = plot_r.value();
+  const double cut = stats::quantile_sorted(
+      plot.log10_x, std::clamp(1.0 - tail_fraction, 0.0, 1.0));
+  std::vector<double> lx, ly;
+  for (std::size_t i = 0; i < plot.log10_x.size(); ++i) {
+    if (plot.log10_x[i] >= cut) {
+      lx.push_back(plot.log10_x[i]);
+      ly.push_back(plot.log10_ccdf[i]);
+    }
+  }
+  if (lx.size() < 10)
+    return support::Error::insufficient_data("fewer than 10 tail points");
+  const auto fit = stats::quadratic_fit(lx, ly);
+  if (fit.n < 10) return support::Error::numeric("quadratic fit failed");
+  return fit.c2;
+}
+
+/// One random sample of the kind `kind` names: continuous or on a lattice
+/// with heavy ties, with or without zeros (of both signs) and negatives.
+std::vector<double> property_sample(int kind, std::size_t n, support::Rng& rng) {
+  const stats::Pareto pareto(0.8 + 2.0 * rng.uniform(), 1.0);
+  const stats::Lognormal lognormal(3.0 * rng.uniform() - 1.0,
+                                   0.3 + 2.0 * rng.uniform());
+  std::vector<double> xs(n);
+  for (auto& x : xs) {
+    switch (kind) {
+      case 0: x = pareto.sample(rng); break;
+      case 1: x = lognormal.sample(rng); break;
+      case 2: x = std::ceil(pareto.sample(rng)); break;        // ties
+      case 3: x = static_cast<double>(1 + rng.below(6)); break;  // few values
+      case 4:  // continuous, both signs
+        x = (rng.uniform() < 0.4 ? -1.0 : 1.0) * lognormal.sample(rng);
+        break;
+      case 5: {  // lattice with +0.0, -0.0 and negatives among the ties
+        const double v = std::floor(pareto.sample(rng)) - 1.0;
+        const double u = rng.uniform();
+        x = u < 0.1 ? -0.0 : u < 0.25 ? -v : v;
+        break;
+      }
+      default: x = 0.25 * std::floor(4.0 * lognormal.sample(rng)); break;
+    }
+  }
+  return xs;
+}
+
+TEST(LlcdCurvature, MatchesReferenceBitForBit) {
+  // llcd_curvature never builds the LLCD plot: it reads the sorted sample,
+  // takes log10 x only above the cut and the CCDF logs from a table by
+  // rank. Its result and its ok/error outcome must equal the plot-based
+  // definition's exactly, on continuous and tied samples, with zeros and
+  // negatives, and on tails too short to fit.
+  static constexpr double kFractions[] = {0.5, 0.2, 0.05, 0.9, 1.0,
+                                          0.0, 1.5, -0.5, 0.37};
+  support::Rng rng(2026);
+  std::size_t fitted = 0;
+  std::size_t short_tail = 0;
+  for (std::size_t c = 0; c < 1800; ++c) {
+    const int kind = static_cast<int>(c % 7);
+    const std::size_t n =
+        c % 60 == 59 ? 2000 + rng.below(3000) : 2 + rng.below(400);
+    const auto xs = property_sample(kind, n, rng);
+    const double tf = kFractions[rng.below(std::size(kFractions))];
+    const auto got = llcd_curvature(xs, tf);
+    const auto want = reference_curvature(xs, tf);
+    ASSERT_EQ(got.ok(), want.ok())
+        << "case " << c << " kind " << kind << " n " << n << " tf " << tf;
+    if (!want.ok()) {
+      EXPECT_EQ(got.error().category, want.error().category) << "case " << c;
+      short_tail += want.error().category == "insufficient_data";
+      continue;
+    }
+    ++fitted;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value()),
+              std::bit_cast<std::uint64_t>(want.value()))
+        << "case " << c << " kind " << kind << " n " << n << " tf " << tf;
+  }
+  // Both outcomes must be well covered for the comparison to mean much.
+  EXPECT_GT(fitted, 600U);
+  EXPECT_GT(short_tail, 200U);
 }
 
 TEST(CurvatureTest, ParetoSampleNotRejectedUnderParetoNull) {
@@ -126,6 +231,31 @@ TEST(CurvatureTest, RejectsBadAlphaOverride) {
   CurvatureOptions opts;
   opts.alpha_override = -1.0;
   EXPECT_FALSE(curvature_test(xs, rng, opts).ok());
+}
+
+TEST(CurvatureTest, RejectsZeroReplicates) {
+  // No simulation gives no reference distribution, so no p-value.
+  const auto xs = sample_from(stats::Pareto(1.5, 1.0), 1000, 21);
+  support::Rng rng(22);
+  CurvatureOptions opts;
+  opts.replicates = 0;
+  const auto r = curvature_test(xs, rng, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().category, "invalid_argument");
+}
+
+TEST(CurvatureTest, RejectsNaNTailFraction) {
+  const auto xs = sample_from(stats::Pareto(1.5, 1.0), 1000, 23);
+  for (const TailModel model : {TailModel::kPareto, TailModel::kLognormal}) {
+    support::Rng rng(24);
+    CurvatureOptions opts;
+    opts.model = model;
+    opts.replicates = 19;
+    opts.tail_fraction = std::numeric_limits<double>::quiet_NaN();
+    const auto r = curvature_test(xs, rng, opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().category, "invalid_argument");
+  }
 }
 
 TEST(CurvatureTest, ReportsReplicateCount) {
