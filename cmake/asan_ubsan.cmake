@@ -40,7 +40,10 @@ endif()
 # fan-out) are where lifetime/UB bugs would live. test_support_table_cli
 # covers CliFlags, which parses argv (input from outside the program) and
 # range-checks counts before they become sizes. test_stats_fft covers the
-# Bluestein padding and the packed real-input halves; test_tail_curvature
+# Bluestein padding, the packed real-input halves and the radix-2 kernel's
+# tile-pair bit reversal, cache blocks and fused passes, under a null
+# executor and a pool; test_stats_acf covers the zero-padded real transform
+# behind the ACF and its empty-series guard; test_tail_curvature
 # covers the per-replicate samples of the Monte-Carlo curvature test, their
 # radix sort and the quantile index the statistic's cut is read at.
 # test_stats_descriptive covers stats::quantile_sorted itself, whose
@@ -64,7 +67,8 @@ endif()
 # through the chunk reader's carried partial lines and the sessionizer's
 # list splices and map erases, where a dangling iterator would live.
 set(FULLWEB_ASAN_TESTS
-  test_stats_fft test_tail_curvature test_tail_llcd test_tail_hill
+  test_stats_fft test_stats_acf test_tail_curvature test_tail_llcd
+  test_tail_hill
   test_support_json
   test_support_table_cli test_edge_inputs
   test_validation test_weblog_corpus test_weblog_parser_identity

@@ -1,8 +1,8 @@
 #include "stats/acf.h"
 
-#include <cassert>
 #include <cmath>
 #include <complex>
+#include <limits>
 
 #include "stats/descriptive.h"
 #include "stats/fft.h"
@@ -11,7 +11,7 @@ namespace fullweb::stats {
 
 std::vector<double> acf(std::span<const double> xs, std::size_t max_lag) {
   const std::size_t n = xs.size();
-  assert(n >= 1);
+  if (n == 0) return {};
   if (max_lag >= n) max_lag = n - 1;
 
   const double m = mean(xs);
@@ -53,6 +53,7 @@ double autocorrelation_at(std::span<const double> xs, std::size_t lag) noexcept 
 }
 
 double acf_abs_sum(std::span<const double> xs, std::size_t max_lag) {
+  if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
   const auto r = acf(xs, max_lag);
   double sum = 0.0;
   for (std::size_t k = 1; k < r.size(); ++k) sum += std::fabs(r[k]);

@@ -9,17 +9,28 @@
 // scan reads its narrow band of periodogram ordinates by direct DFT
 // (stats::periodogram_band).
 //
-// Transforms are driven by cached FftPlans: bit-reversal and per-stage
-// twiddle tables for the radix-2 path, and for Bluestein lengths the chirp
-// table plus the pre-transformed chirp spectrum per direction. Plans live in
-// a process-wide mutex-guarded LRU (support::LruCache), so repeated
-// same-length transforms — ACF sweeps, periodogram batches, fGn
-// Monte-Carlo draws — pay the setup cost once.
+// The radix-2 kernel computes the butterflies of the textbook iterative
+// loop (bit reversal, then stages len = 2, 4, .., n), each with its stage's
+// own twiddle entry, but in an order that streams memory a few times
+// instead of once per stage: bit reversal swaps 32x32 tiles between index
+// pairs, the stages with len <= 2^13 run inside each 2^13-point (128 KiB)
+// block, and the later stages run two or three per pass over the array.
+// Every element meets the same operations on the same values, so the output
+// is bit-identical to the stage-by-stage loop (test_stats_fft keeps a copy
+// of it as the reference; GoldenFft pins digests up to 2^22 points).
+// fft.cpp builds under the hot_simd flags, which change throughput, never
+// bits (cmake/hot_simd.cmake).
+//
+// Transforms are driven by cached FftPlans: per-stage twiddle tables for
+// the radix-2 path, and for Bluestein lengths the chirp table plus the
+// pre-transformed chirp spectrum per direction. Plans live in a
+// process-wide mutex-guarded LRU (support::LruCache), so repeated
+// same-length transforms — ACF sweeps, periodogram batches, fGn Monte-Carlo
+// draws — pay the setup cost once.
 #pragma once
 
 #include <bit>
 #include <complex>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -36,10 +47,12 @@ namespace fullweb::stats {
 /// Executor parameter: unlike the rest of the library, a null executor here
 /// means SERIAL (not "the global pool") — the FFT is a leaf kernel and most
 /// call sites run it inside an already-parallel task. Passing an executor
-/// opts the transform into chunking each butterfly stage (and the Bluestein
-/// pointwise products) across the pool; every butterfly writes only its own
-/// pair of slots in the serial accumulation order, so the spectrum is
-/// bit-identical at any thread count.
+/// opts the transform into chunking each of its passes across the pool:
+/// tile pairs of the bit reversal, whole cache blocks of the early stages,
+/// groups of a fused later pass, and ranges of the Bluestein pointwise
+/// products. Each chunk writes only its own elements with the same
+/// operations as the serial run, so the spectrum is bit-identical at any
+/// thread count.
 class FftPlan {
  public:
   /// The (cached) plan for length-n transforms.
@@ -65,12 +78,12 @@ class FftPlan {
 
   std::size_t n_ = 0;
 
-  // Radix-2 tables (power-of-two lengths). twiddle_ is the per-stage table
-  // laid out flat: stage `len` holds exp(-2*pi*i*k/len), k < len/2, at
-  // offset len/2 - 1 (n - 1 entries total). Twiddles are computed with
-  // direct cos/sin per entry — unlike the w *= wlen recurrence this does
-  // not accumulate rounding error across a stage.
-  std::vector<std::uint32_t> bitrev_;
+  // Radix-2 tables (power-of-two lengths, n = 2^log2n_). twiddle_ is the
+  // per-stage table laid out flat: stage `len` holds exp(-2*pi*i*k/len),
+  // k < len/2, at offset len/2 - 1 (n - 1 entries total). Twiddles are
+  // computed with direct cos/sin per entry — unlike the w *= wlen
+  // recurrence this does not accumulate rounding error across a stage.
+  unsigned log2n_ = 0;
   std::vector<std::complex<double>> twiddle_;
 
   // Bluestein tables (other lengths): chirp w[k] = exp(-i*pi*k^2/n) (the
@@ -93,7 +106,7 @@ void ifft(std::vector<std::complex<double>>& data);
 /// same length (conjugate-symmetric). Power-of-two lengths use the packed
 /// real-to-complex path: one complex FFT of length n/2 instead of length n
 /// (~2x fewer flops). A non-null `executor` parallelizes the transform
-/// stages (null = serial; see the FftPlan note — results are bit-identical
+/// passes (null = serial; see the FftPlan note — results are bit-identical
 /// either way).
 [[nodiscard]] std::vector<std::complex<double>> fft_real(
     std::span<const double> xs, support::Executor* executor = nullptr);

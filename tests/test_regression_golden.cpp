@@ -7,8 +7,11 @@
 // 64-bit patterns (captured on the reference build) for fGn draws, a
 // Whittle Hurst estimate, a Hill estimate, the three LLCD theta paths and
 // an FRS memory estimate, and additionally compare cache hit-vs-miss runs
-// directly. GoldenCurvature pins Downey's curvature test (statistic,
-// p-value and fitted null) for both nulls on continuous and tied samples.
+// directly. GoldenFft pins the output bits of radix-2 transforms below and
+// above the kernel's cache block, the packed real transform, two Bluestein
+// lengths and a week-length fGn draw, each by one digest. GoldenCurvature
+// pins Downey's curvature test (statistic, p-value and fitted null) for both
+// nulls on continuous and tied samples.
 // GoldenOnline pins the bytes of every periodic OnlineAnalyzer
 // snapshot of a fixed stream by one digest, so a change to any estimator
 // the snapshot reports shows here. If an "optimization" ever changes a bit
@@ -17,6 +20,7 @@
 
 #include <bit>
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <iterator>
 #include <numbers>
@@ -28,6 +32,7 @@
 #include "online/analyzer.h"
 #include "online/frs_memory.h"
 #include "stats/distributions.h"
+#include "stats/fft.h"
 #include "stats/prefix_moments.h"
 #include "support/rng.h"
 #include "tail/curvature.h"
@@ -39,6 +44,25 @@ namespace fullweb {
 namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// FNV-1a over the bytes of each document in turn, or over the 64-bit
+/// pattern of each double, lowest byte first (so the digest does not depend
+/// on the host's byte order).
+class Fnv1a {
+ public:
+  void add(std::string_view s) {
+    for (unsigned char c : s) h_ = (h_ ^ c) * 0x100000001b3ULL;
+  }
+  void add(double v) {
+    std::uint64_t b = bits(v);
+    for (int i = 0; i < 8; ++i, b >>= 8)
+      h_ = (h_ ^ (b & 0xffU)) * 0x100000001b3ULL;
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
 
 // Captured from the reference implementation of this kernel pass (direct
 // cos/sin twiddle tables; see DESIGN.md §5.6).
@@ -76,6 +100,101 @@ TEST(GoldenFgn, SpectrumCacheHitIsBitIdenticalToMiss) {
   ASSERT_EQ(miss.size(), hit.size());
   for (std::size_t i = 0; i < miss.size(); ++i)
     ASSERT_EQ(bits(miss[i]), bits(hit[i])) << "i=" << i;
+}
+
+// GoldenFft: digests captured from the stage-by-stage radix-2 kernel (one
+// pass over the array per stage), which the cache-blocked kernel must match
+// to the bit. 2^10 lies inside one cache block; 2^16 and up run fused passes
+// over whole-array stages as well.
+using cd = std::complex<double>;
+
+std::vector<cd> complex_signal(std::size_t n, std::uint64_t seed) {
+  support::Rng rng(seed);
+  std::vector<cd> xs(n);
+  for (auto& x : xs) x = cd(rng.normal(), rng.normal());
+  return xs;
+}
+
+std::uint64_t fft_digest(std::span<const cd> xs) {
+  Fnv1a d;
+  for (const cd& v : xs) {
+    d.add(v.real());
+    d.add(v.imag());
+  }
+  return d.value();
+}
+
+struct FftGolden {
+  std::size_t n;
+  std::uint64_t forward, backward;
+};
+
+constexpr FftGolden kFftPow2[] = {
+    {std::size_t{1} << 10, 0xe74b4ceac6af9ea9ULL, 0x030de32c4363db33ULL},
+    {std::size_t{1} << 16, 0x8dfef6acfd31a371ULL, 0xa401f3eb2abbec06ULL},
+    {std::size_t{1} << 20, 0x026145000d39ae8dULL, 0xe5aa4e6f935422a8ULL},
+    {std::size_t{1} << 22, 0xa6a734b6116e6806ULL, 0xc5d21bd36429631dULL},
+};
+
+TEST(GoldenFft, Pow2TransformsMatchReferenceDigests) {
+  for (const FftGolden& g : kFftPow2) {
+    const auto plan = stats::FftPlan::get(g.n);
+    const auto input = complex_signal(g.n, 500 + g.n);
+    auto fwd = input;
+    plan->forward(fwd);
+    EXPECT_EQ(fft_digest(fwd), g.forward)
+        << "n=" << g.n << std::hex << " 0x" << fft_digest(fwd);
+    auto bwd = input;
+    plan->backward(bwd);
+    EXPECT_EQ(fft_digest(bwd), g.backward)
+        << "n=" << g.n << std::hex << " 0x" << fft_digest(bwd);
+  }
+}
+
+constexpr std::uint64_t kFftReal2p19 = 0xb27f15edc4092227ULL;
+
+TEST(GoldenFft, PackedRealTransformMatchesReferenceDigest) {
+  // The Hurst suite's shared periodogram length.
+  support::Rng rng(19);
+  std::vector<double> xs(std::size_t{1} << 19);
+  for (auto& x : xs) x = rng.normal();
+  const auto spec = stats::fft_real(xs);
+  EXPECT_EQ(fft_digest(spec), kFftReal2p19) << std::hex << fft_digest(spec);
+}
+
+// 100,003 is prime; its 2^18-point sub-plan spans many cache blocks.
+// 1,209,600 is the Davies-Harte circulant of a week of 1-second bins; its
+// sub-plan is 2^22 points.
+constexpr FftGolden kFftBluestein[] = {
+    {100003, 0xe8a87de9f60c97dfULL, 0xd3092ba285106bbbULL},
+    {1209600, 0x18ad094c9ed4c5baULL, 0x629ecf9339afdf52ULL},
+};
+
+TEST(GoldenFft, BluesteinTransformsMatchReferenceDigests) {
+  for (const FftGolden& g : kFftBluestein) {
+    const auto plan = stats::FftPlan::get(g.n);
+    const auto input = complex_signal(g.n, 700 + g.n);
+    auto fwd = input;
+    plan->forward(fwd);
+    EXPECT_EQ(fft_digest(fwd), g.forward)
+        << "n=" << g.n << std::hex << " 0x" << fft_digest(fwd);
+    auto bwd = input;
+    plan->backward(bwd);
+    EXPECT_EQ(fft_digest(bwd), g.backward)
+        << "n=" << g.n << std::hex << " 0x" << fft_digest(bwd);
+  }
+}
+
+constexpr std::uint64_t kFgnWeek = 0x20b231dfc371f4aaULL;
+
+TEST(GoldenFft, WeekLengthFgnDrawMatchesReferenceDigest) {
+  // The synthesizer's arrival-rate draw for a week of 1-second bins: two
+  // Bluestein transforms of 1,209,600 points (spectrum and draw).
+  const auto xs = draw_fgn(604800, 0.8, 3);
+  ASSERT_EQ(xs.size(), 604800U);
+  Fnv1a d;
+  for (double x : xs) d.add(x);
+  EXPECT_EQ(d.value(), kFgnWeek) << std::hex << d.value();
 }
 
 TEST(GoldenWhittle, EstimateMatchesReferenceBits) {
@@ -310,18 +429,6 @@ TEST(GoldenCurvature, StatisticOnSignedTiedSampleMatchesReferenceBits) {
   EXPECT_EQ(bits(fifth.value()), kLlcdCurvatureFifth)
       << std::hex << bits(fifth.value());
 }
-
-/// FNV-1a over the bytes of each document in turn.
-class Fnv1a {
- public:
-  void add(std::string_view s) {
-    for (unsigned char c : s) h_ = (h_ ^ c) * 0x100000001b3ULL;
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 constexpr std::uint64_t kOnlineDigest = 0x2e4238ea98d4d681ULL;
 constexpr std::size_t kOnlineSnapshots = 49;

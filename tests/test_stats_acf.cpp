@@ -89,6 +89,18 @@ TEST(Acf, MaxLagClampedToSeriesLength) {
   EXPECT_EQ(r.size(), 3U);  // lags 0..2
 }
 
+TEST(Acf, EmptySeriesHasNoLags) {
+  // No sample, no lag 0: an empty result, not r(0) = 1 written through an
+  // empty buffer. acf_abs_sum flags it with NaN instead of a plausible 0.
+  const std::vector<double> none;
+  EXPECT_TRUE(acf(none, 0).empty());
+  EXPECT_TRUE(acf(none, 5).empty());
+  EXPECT_TRUE(std::isnan(acf_abs_sum(none, 5)));
+  const std::vector<double> one = {4.0};
+  EXPECT_EQ(acf(one, 5).size(), 1U);
+  EXPECT_DOUBLE_EQ(acf_abs_sum(one, 5), 0.0);
+}
+
 TEST(AutocorrelationAt, OutOfRangeLagIsZero) {
   const std::vector<double> xs = {1, 2, 3};
   EXPECT_DOUBLE_EQ(autocorrelation_at(xs, 3), 0.0);
