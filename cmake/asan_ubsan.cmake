@@ -66,6 +66,11 @@ endif()
 # path and the one sessionizer: multi-file and out-of-order ingest both run
 # through the chunk reader's carried partial lines and the sessionizer's
 # list splices and map erases, where a dangling iterator would live.
+# test_weblog_dataset covers Dataset::partition, whose interval count and
+# bucket index are double-to-size casts (float-cast-overflow flags one out
+# of range, as an infinite interval once was). test_shared_kernels covers
+# the aggregation pyramid's two routes, which index block_means output by
+# level, and the prefix-moment block queries.
 set(FULLWEB_ASAN_TESTS
   test_stats_fft test_stats_acf test_tail_curvature test_tail_llcd
   test_tail_hill
@@ -74,7 +79,7 @@ set(FULLWEB_ASAN_TESTS
   test_validation test_weblog_corpus test_weblog_parser_identity
   test_store_columnar test_online_sketch test_online_analyzer
   test_stats_periodogram test_weblog_streaming test_weblog_sessionizer
-  test_stats_descriptive)
+  test_stats_descriptive test_weblog_dataset test_shared_kernels)
 
 message(STATUS "[asan] building ${FULLWEB_ASAN_TESTS}")
 execute_process(

@@ -66,12 +66,12 @@ Result<StationaryReport> make_stationary(std::span<const double> xs,
       Error::invalid_argument("make_stationary: kpss did not run");
   if (ex.serial()) {
     support::StageTimer t(options.timings, "kpss (raw)");
-    raw = stats::kpss_test(xs, stats::KpssNull::kLevel, options.kpss_lag);
+    raw = stats::kpss_test(xs);
   } else {
     support::TaskGroup group(ex);
     group.run([&] {
       support::StageTimer t(options.timings, "kpss (raw)");
-      raw = stats::kpss_test(xs, stats::KpssNull::kLevel, options.kpss_lag);
+      raw = stats::kpss_test(xs);
     });
     group.run([&] {
       support::StageTimer t(options.timings, "seasonal scan");
@@ -111,7 +111,7 @@ Result<StationaryReport> make_stationary(std::span<const double> xs,
   }
 
   support::StageTimer post_timer(options.timings, "kpss (post)");
-  auto post = stats::kpss_test(working, stats::KpssNull::kLevel, options.kpss_lag);
+  auto post = stats::kpss_test(working);
   post_timer.stop();
   if (post.ok()) report.kpss_stationary = post.value();
   report.series = std::move(working);

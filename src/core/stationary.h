@@ -35,7 +35,6 @@ struct StationaryOptions {
   /// Remove the trend / the seasonal component only when the raw KPSS
   /// rejects stationarity at 5% (true), or unconditionally (false).
   bool only_if_nonstationary = true;
-  long kpss_lag = -1;  ///< forwarded to kpss_test; -1 = automatic
   /// Task executor (null = the global pool). A parallel pool overlaps the
   /// raw KPSS with the detrend/periodicity scan — speculatively when
   /// only_if_nonstationary is set, since the verdict usually rejects on the

@@ -124,6 +124,10 @@ Result<double> llcd_curvature(std::span<const double> xs, double tail_fraction) 
     return Error::invalid_argument("llcd_curvature: tail_fraction is NaN");
   std::vector<double> sorted(xs.begin(), xs.end());
   radix_sort(sorted);
+  // The radix sort puts every NaN at one end (+NaN above +inf, -NaN below
+  // -inf), where it would shift every rank.
+  if (!sorted.empty() && (std::isnan(sorted.front()) || std::isnan(sorted.back())))
+    return Error::invalid_argument("llcd_curvature: sample holds NaN");
   return sorted_curvature(sorted, tail_fraction,
                           log10_ccdf_by_rank(sorted.size()));
 }
@@ -135,10 +139,16 @@ Result<CurvatureResult> curvature_test(std::span<const double> xs,
     return Error::invalid_argument("curvature_test: tail_fraction is NaN");
   if (options.replicates == 0)
     return Error::invalid_argument("curvature_test: need replicates >= 1");
+  // Non-positive values cannot be Pareto or lognormal and drop out; a NaN
+  // is no value at all, so the sample is rejected rather than shrunk.
   std::vector<double> positive;
   positive.reserve(xs.size());
-  for (double v : xs)
-    if (v > 0.0) positive.push_back(v);
+  for (double v : xs) {
+    if (v > 0.0)
+      positive.push_back(v);
+    else if (std::isnan(v))
+      return Error::invalid_argument("curvature_test: sample holds NaN");
+  }
   const std::size_t n = positive.size();
   if (n < 50) return Error::insufficient_data("curvature_test: need n >= 50");
 

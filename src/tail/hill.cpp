@@ -51,8 +51,12 @@ Result<HillPlot> hill_plot_from_top(std::span<const double> top_desc,
 Result<HillPlot> hill_plot(std::span<const double> xs, const HillOptions& options) {
   std::vector<double> sorted;
   sorted.reserve(xs.size());
-  for (double v : xs)
-    if (v > 0.0) sorted.push_back(v);
+  for (double v : xs) {
+    if (v > 0.0)
+      sorted.push_back(v);
+    else if (std::isnan(v))
+      return Error::invalid_argument("hill_plot: sample holds NaN");
+  }
   const std::size_t n = sorted.size();
   auto k_max = static_cast<std::size_t>(
       std::floor(options.max_tail_fraction * static_cast<double>(n)));

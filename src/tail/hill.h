@@ -47,7 +47,8 @@ struct HillEstimate {
 };
 
 /// Compute the Hill plot over k = 1 .. floor(max_tail_fraction * n).
-/// Requires at least ~2/max_tail_fraction positive samples.
+/// Requires at least ~2/max_tail_fraction positive samples; non-positive
+/// ones are ignored, and a sample holding NaN is invalid_argument.
 [[nodiscard]] support::Result<HillPlot> hill_plot(std::span<const double> xs,
                                                   const HillOptions& options = {});
 
@@ -67,7 +68,8 @@ struct HillEstimate {
 
 /// Scan the plot for the most stable window and report its mean alpha.
 /// `stabilized == false` reproduces the paper's NS entries; an error is the
-/// paper's NA (not enough data to compute the plot at all).
+/// paper's NA (not enough data to compute the plot at all), or
+/// invalid_argument for a sample holding NaN.
 [[nodiscard]] support::Result<HillEstimate> hill_estimate(
     std::span<const double> xs, const HillOptions& options = {});
 

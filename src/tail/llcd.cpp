@@ -13,6 +13,9 @@ using support::Error;
 using support::Result;
 
 Result<LlcdPlot> llcd_plot(std::span<const double> xs) {
+  // A NaN has no rank: sorted in, it would shift every CCDF value.
+  if (std::any_of(xs.begin(), xs.end(), [](double v) { return std::isnan(v); }))
+    return Error::invalid_argument("llcd_plot: sample holds NaN");
   if (xs.size() < 2) return Error::insufficient_data("llcd_plot: need n >= 2");
   const auto e = stats::ecdf(xs);
   LlcdPlot plot;

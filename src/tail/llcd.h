@@ -40,12 +40,14 @@ struct LlcdFit {
 };
 
 /// Fit the LLCD tail slope. Errors when too few distinct tail points exist
-/// (the paper's "NA" cells for NASA-Pub2 Low).
+/// (the paper's "NA" cells for NASA-Pub2 Low), and with invalid_argument
+/// for a sample holding NaN.
 [[nodiscard]] support::Result<LlcdFit> llcd_fit(std::span<const double> xs,
                                                 const LlcdOptions& options = {});
 
-/// The LLCD plot itself: (log10 x, log10 P[X > x]) over distinct sample
-/// values, excluding the final zero-CCDF point — the data of Figs 11 & 13.
+/// The LLCD plot itself: (log10 x, log10 P[X > x]) over distinct positive
+/// sample values, excluding the final zero-CCDF point — the data of Figs 11
+/// & 13. invalid_argument for a sample holding NaN.
 struct LlcdPlot {
   std::vector<double> log10_x;  ///< in ascending order of x
   std::vector<double> log10_ccdf;

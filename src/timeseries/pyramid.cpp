@@ -8,8 +8,7 @@
 namespace fullweb::timeseries {
 
 AggregationPyramid::AggregationPyramid(std::span<const double> xs,
-                                       std::span<const std::size_t> levels,
-                                       const stats::PrefixMoments* pm)
+                                       std::span<const std::size_t> levels)
     : base_(xs) {
   levels_.assign(levels.begin(), levels.end());
   std::sort(levels_.begin(), levels_.end());
@@ -18,9 +17,8 @@ AggregationPyramid::AggregationPyramid(std::span<const double> xs,
   storage_.resize(levels_.size());
 
   const std::size_t n = xs.size();
-  // The route chosen per level depends only on (n, levels), never on
-  // whether a PrefixMoments was passed in, so values are reproducible for
-  // a fixed level set regardless of the sharing configuration.
+  // The route chosen per level depends only on (n, levels), so values are
+  // reproducible for a fixed level set.
   for (std::size_t li = 0; li < levels_.size(); ++li) {
     const std::size_t m = levels_[li];
     if (m == 1) continue;  // level() aliases the input
@@ -35,7 +33,7 @@ AggregationPyramid::AggregationPyramid(std::span<const double> xs,
     std::size_t parent = 1;
     for (std::size_t pi = li; pi-- > 0;) {
       const std::size_t cand = levels_[pi];
-      if (cand > 1 && m % cand == 0 && n / cand > 0) {
+      if (cand > 1 && m % cand == 0) {
         parent = cand;
         break;
       }
@@ -46,14 +44,8 @@ AggregationPyramid::AggregationPyramid(std::span<const double> xs,
           levels_.begin());
       const std::span<const double> src = storage_[pidx];
       stats::block_means(src.first(blocks * (m / parent)), m / parent, out);
-    } else if (m >= 8) {
-      // Ragged level: O(1) block-mean queries against one shared O(n) build.
-      if (pm == nullptr && !owned_pm_.has_value()) owned_pm_.emplace(xs);
-      const stats::PrefixMoments& p = pm != nullptr ? *pm : *owned_pm_;
-      assert(p.size() == n);
-      for (std::size_t k = 0; k < blocks; ++k)
-        out[k] = p.block_mean(k * m, (k + 1) * m);
     } else {
+      // No divisor: aggregate the input itself, as timeseries::aggregate does.
       stats::block_means(xs.first(blocks * m), m, out);
     }
   }

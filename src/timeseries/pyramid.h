@@ -5,35 +5,29 @@
 // O(n) per level. The pyramid instead derives each level from the largest
 // already-materialized level m' dividing m (block means of block means of
 // equal-sized sub-blocks compose exactly), in n/m' adds — the halving
-// cascade 2m-from-m is the common case on dyadic grids — and falls through
-// to PrefixMoments block-mean queries (O(n/m) lookups against one shared
-// O(n) build) for ragged levels with no useful divisor.
+// cascade 2m-from-m is the common case on dyadic grids. A level with no
+// such divisor is aggregated from the input directly, and equals
+// timeseries::aggregate(xs, m) bit for bit.
 //
-// Values at a given m are bit-stable for a fixed requested level set, but
-// may differ in low-order bits from timeseries::aggregate(xs, m) and from
-// the same m requested alongside a different level set, because the
-// summation tree differs; see DESIGN.md §5.8 for the bit policy.
+// A cascaded level is bit-stable for a fixed requested level set, but may
+// differ in low-order bits from timeseries::aggregate(xs, m) and from the
+// same m requested alongside a different level set, because the summation
+// tree differs; see DESIGN.md §5.8 for the bit policy.
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
-
-#include "stats/prefix_moments.h"
 
 namespace fullweb::timeseries {
 
 class AggregationPyramid {
  public:
   /// Materialize every level in `levels` (deduplicated, sorted, zeros
-  /// dropped; m == 1 aliases the input). `pm`, when given, must be built
-  /// over the same `xs` and outlive the pyramid; otherwise one is built
-  /// lazily if a ragged level needs it. The input span must stay alive for
+  /// dropped; m == 1 aliases the input). The input span must stay alive for
   /// the pyramid's lifetime.
   explicit AggregationPyramid(std::span<const double> xs,
-                              std::span<const std::size_t> levels,
-                              const stats::PrefixMoments* pm = nullptr);
+                              std::span<const std::size_t> levels);
 
   [[nodiscard]] std::size_t base_size() const noexcept { return base_.size(); }
   /// Sorted, deduplicated levels actually materialized.
@@ -47,7 +41,6 @@ class AggregationPyramid {
   std::span<const double> base_;
   std::vector<std::size_t> levels_;
   std::vector<std::vector<double>> storage_;  ///< parallel to levels_
-  std::optional<stats::PrefixMoments> owned_pm_;
 };
 
 }  // namespace fullweb::timeseries

@@ -99,10 +99,9 @@ Result<IngestStats> read_clf_records(
 
   support::Executor& ex = support::Executor::resolve(options.executor);
   const std::size_t chunk_bytes = std::max<std::size_t>(options.chunk_bytes, 4096);
-  const std::size_t inflight =
-      options.max_inflight_chunks != 0
-          ? options.max_inflight_chunks
-          : std::max<std::size_t>(2 * ex.threads(), 2);
+  // Blocks in flight before the reader stalls on the oldest: enough to
+  // keep every thread parsing, and a bound on peak text memory.
+  const std::size_t inflight = std::max<std::size_t>(2 * ex.threads(), 2);
 
   // Futures are drained strictly FIFO, so records reach `on_record` in file
   // order no matter which worker parsed which block.

@@ -12,8 +12,8 @@
 //  * and reassembles results strictly in file order, so the record stream
 //    delivered to `on_record` is byte-for-byte the same at 1 or N threads.
 //
-// At most `max_inflight_chunks` blocks are outstanding, so peak memory is
-// O(chunk_bytes * inflight) for text plus whatever the consumer retains —
+// At most 2 blocks per executor thread are outstanding, so peak memory is
+// O(chunk_bytes * threads) for text plus whatever the consumer retains —
 // the file itself is never resident at once.
 #pragma once
 
@@ -56,9 +56,6 @@ struct IngestStats {
 
 struct ClfReaderOptions {
   std::size_t chunk_bytes = 1 << 20;    ///< parse-block size (min 4 KiB)
-  /// Blocks allowed in flight before the reader stalls on the oldest
-  /// (0 = 2x executor threads). Bounds peak text memory.
-  std::size_t max_inflight_chunks = 0;
   support::Executor* executor = nullptr;  ///< null = the global pool
 };
 

@@ -5,6 +5,7 @@
 #include <functional>
 #include <string_view>
 
+#include "support/strings.h"
 #include "timeseries/series.h"
 
 namespace fullweb::weblog {
@@ -214,21 +215,11 @@ std::vector<double> Dataset::session_start_times() const {
 }
 
 std::vector<double> Dataset::requests_per_second(double bin_seconds) const {
-  return requests_per_second(t0_, t1_, bin_seconds);
+  return timeseries::counts_per_bin(request_times(), t0_, t1_, bin_seconds);
 }
 
 std::vector<double> Dataset::sessions_per_second(double bin_seconds) const {
-  return sessions_per_second(t0_, t1_, bin_seconds);
-}
-
-std::vector<double> Dataset::requests_per_second(double t0, double t1,
-                                                 double bin_seconds) const {
-  return timeseries::counts_per_bin(request_times(), t0, t1, bin_seconds);
-}
-
-std::vector<double> Dataset::sessions_per_second(double t0, double t1,
-                                                 double bin_seconds) const {
-  return timeseries::counts_per_bin(session_start_times(), t0, t1, bin_seconds);
+  return timeseries::counts_per_bin(session_start_times(), t0_, t1_, bin_seconds);
 }
 
 namespace {
@@ -272,67 +263,52 @@ std::vector<double> Dataset::session_byte_counts(double t0, double t1) const {
   });
 }
 
-std::vector<Interval> Dataset::partition(double interval_seconds) const {
-  return partition(t0_, t1_, interval_seconds);
+namespace {
+
+/// An interval the window can be counted in: finite and at least the one
+/// second a CLF timestamp resolves, so there are never more intervals than
+/// the per-second series has bins.
+bool countable(double interval_seconds) {
+  return interval_seconds >= 1.0 && std::isfinite(interval_seconds);
 }
 
-std::vector<Interval> Dataset::partition(double t0, double t1,
-                                         double interval_seconds) const {
+}  // namespace
+
+std::vector<Interval> Dataset::partition(double interval_seconds) const {
   std::vector<Interval> out;
-  if (!(interval_seconds > 0.0) || !(t1 > t0)) return out;
-  // Interval boundaries live on the dataset's native grid (anchored at the
-  // observation-window start), so a sub-window that starts off-grid gets a
-  // clipped leading interval rather than a shifted grid.
-  const double first_f = std::floor((t0 - t0_) / interval_seconds);
-  const auto first = static_cast<std::ptrdiff_t>(first_f);
-  const auto count = static_cast<std::size_t>(
-      std::ceil((t1 - t0_) / interval_seconds) - first_f);
+  if (!countable(interval_seconds)) return out;
+  const auto count =
+      static_cast<std::size_t>(std::ceil((t1_ - t0_) / interval_seconds));
   out.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const double grid_lo =
-        t0_ + static_cast<double>(first + static_cast<std::ptrdiff_t>(i)) *
-                  interval_seconds;
-    out[i].index = static_cast<std::size_t>(std::max<std::ptrdiff_t>(
-        0, first + static_cast<std::ptrdiff_t>(i)));
-    out[i].t0 = std::max(t0, grid_lo);
-    out[i].t1 = std::min(t1, grid_lo + interval_seconds);
+    out[i].index = i;
+    out[i].t0 = t0_ + static_cast<double>(i) * interval_seconds;
+    out[i].t1 = std::min(t1_, out[i].t0 + interval_seconds);
   }
+  // Every request and session start lies in [t0_, t1_).
   const auto bucket = [&](double time) {
-    return std::min(
-        count - 1,
-        static_cast<std::size_t>(std::max<std::ptrdiff_t>(
-            0, static_cast<std::ptrdiff_t>((time - t0_) / interval_seconds) -
-                   first)));
+    return std::min(count - 1,
+                    static_cast<std::size_t>((time - t0_) / interval_seconds));
   };
-  for (const auto& r : requests_) {
-    if (r.time < t0 || r.time >= t1) continue;
-    ++out[bucket(r.time)].request_count;
-  }
-  for (const auto& s : sessions_) {
-    if (s.start < t0 || s.start >= t1) continue;
-    ++out[bucket(s.start)].session_count;
-  }
+  for (const auto& r : requests_) ++out[bucket(r.time)].request_count;
+  for (const auto& s : sessions_) ++out[bucket(s.start)].session_count;
   return out;
 }
 
 Result<Interval> Dataset::pick(Load load, double interval_seconds) const {
-  return pick(load, t0_, t1_, interval_seconds);
-}
-
-Result<Interval> Dataset::pick(Load load, double t0, double t1,
-                               double interval_seconds) const {
-  auto parts = partition(t0, t1, interval_seconds);
+  if (!countable(interval_seconds))
+    return Error::invalid_argument(
+        "Dataset::pick: interval of " + support::format_sig(interval_seconds, 6) +
+        " s is not a finite length of at least 1 s");
+  auto parts = partition(interval_seconds);
   if (parts.size() < 3)
     return Error::insufficient_data("Dataset::pick: fewer than 3 intervals");
 
-  // Drop the first and the last interval if partial (boundary effects),
-  // when enough intervals remain. The default whole-window partition is
-  // grid-anchored so only its last interval can be partial; an explicitly
-  // provided non-aligned window can clip the leading interval as well.
-  const double full = interval_seconds * 0.999;
-  const auto partial = [&](const Interval& iv) { return iv.t1 - iv.t0 < full; };
-  if (parts.size() >= 5 && partial(parts.back())) parts.pop_back();
-  if (parts.size() >= 5 && partial(parts.front())) parts.erase(parts.begin());
+  // The grid starts at t0, so only the last interval can be partial; drop
+  // it (boundary effects) when enough intervals remain.
+  const Interval& last = parts.back();
+  if (parts.size() >= 5 && last.t1 - last.t0 < interval_seconds * 0.999)
+    parts.pop_back();
 
   std::sort(parts.begin(), parts.end(), [](const Interval& a, const Interval& b) {
     return a.request_count < b.request_count;

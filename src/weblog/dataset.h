@@ -4,6 +4,8 @@
 // them, provides the per-second counting series, the 42 x 4-hour interval
 // partition of the observation week with Low/Med/High selection (§2), and
 // the intra-session sample vectors consumed by the tail analyses (§5.2).
+// The counting series and the partition always cover the whole observation
+// window.
 #pragma once
 
 #include <span>
@@ -113,14 +115,9 @@ class Dataset {
   [[nodiscard]] std::vector<double> request_times() const;
   [[nodiscard]] std::vector<double> session_start_times() const;
 
-  /// Per-second (or per-`bin_seconds`) counting series over [t0, t1) or a
-  /// sub-window.
+  /// Per-second (or per-`bin_seconds`) counting series over [t0, t1).
   [[nodiscard]] std::vector<double> requests_per_second(double bin_seconds = 1.0) const;
   [[nodiscard]] std::vector<double> sessions_per_second(double bin_seconds = 1.0) const;
-  [[nodiscard]] std::vector<double> requests_per_second(double t0, double t1,
-                                                        double bin_seconds) const;
-  [[nodiscard]] std::vector<double> sessions_per_second(double t0, double t1,
-                                                        double bin_seconds) const;
 
   /// Intra-session sample vectors (§5.2), over the whole window or only
   /// sessions starting within [t0, t1).
@@ -131,30 +128,19 @@ class Dataset {
   [[nodiscard]] std::vector<double> session_request_counts(double t0, double t1) const;
   [[nodiscard]] std::vector<double> session_byte_counts(double t0, double t1) const;
 
-  /// Partition the window into consecutive intervals (default 4 h → 42 per
-  /// week) with per-interval request/session counts.
+  /// Partition the window into consecutive intervals on the grid t0 + k *
+  /// interval_seconds (default 4 h → 42 per week) with per-interval
+  /// request/session counts; only the last interval can be partial. No
+  /// intervals for an interval that is not finite or is shorter than the
+  /// one second a CLF timestamp resolves.
   [[nodiscard]] std::vector<Interval> partition(double interval_seconds = 4.0 * 3600.0) const;
 
-  /// Partition an explicitly-provided sub-window [t0, t1). Interval
-  /// boundaries stay on the dataset's native grid (this->t0() + k *
-  /// interval_seconds) and are clipped to the window, so a window that does
-  /// not start or end on a boundary yields a partial first and/or last
-  /// interval; `index` is the global grid index k, not the position within
-  /// the window. Only requests/sessions inside [t0, t1) are counted.
-  [[nodiscard]] std::vector<Interval> partition(double t0, double t1,
-                                                double interval_seconds) const;
-
   /// The paper's typical Low (fewest requests), Med (median), High (most)
-  /// interval selection over the partition. Partial first/last intervals
-  /// (boundary effects) are dropped when enough intervals remain.
+  /// interval selection over the partition. A partial last interval
+  /// (boundary effects) is dropped when enough intervals remain.
+  /// invalid_argument, naming the interval, when partition cannot count it.
   [[nodiscard]] support::Result<Interval> pick(Load load,
                                                double interval_seconds = 4.0 * 3600.0) const;
-
-  /// pick() over an explicitly-provided (possibly non-aligned) sub-window;
-  /// both a partial leading and a partial trailing interval are dropped
-  /// before the Low/Med/High selection, when enough intervals remain.
-  [[nodiscard]] support::Result<Interval> pick(Load load, double t0, double t1,
-                                               double interval_seconds) const;
 
   /// Binary columnar store round-trip (src/store/columnar.h has the format;
   /// these members are *defined* in fullweb_store — link it to use them).

@@ -69,12 +69,6 @@ void StreamingSessionizer::add(const Request& r) {
   peak_open_ = std::max(peak_open_, by_end_.size());
 }
 
-std::vector<Session> StreamingSessionizer::take_closed() {
-  std::vector<Session> out;
-  out.swap(closed_);
-  return out;
-}
-
 std::vector<Session> StreamingSessionizer::finish() {
   for (const Session& s : by_end_) closed_.push_back(s);
   by_end_.clear();

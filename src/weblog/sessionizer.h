@@ -90,15 +90,8 @@ class StreamingSessionizer {
   void add(const Request& r);
 
   /// Close every still-open session and return the accumulated table in
-  /// canonical `session_order` (sessions already drained with take_closed()
-  /// are not included). The sessionizer is reset and may be reused.
+  /// canonical `session_order`. The sessionizer is reset and may be reused.
   [[nodiscard]] std::vector<Session> finish();
-
-  /// Move out sessions that are already final (their client has been idle
-  /// past the threshold). Lets a true streaming consumer drain output
-  /// without accumulating the whole table; the order is eviction order
-  /// (non-decreasing end time), NOT the canonical table order.
-  [[nodiscard]] std::vector<Session> take_closed();
 
   [[nodiscard]] std::size_t open_sessions() const noexcept {
     return by_end_.size();

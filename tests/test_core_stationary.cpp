@@ -162,9 +162,7 @@ ReferenceStationary make_stationary_reference(std::span<const double> xs,
       ref.series = timeseries::seasonal_difference(ref.series, ref.period);
     }
   }
-  if (auto post = stats::kpss_test(ref.series, stats::KpssNull::kLevel,
-                                   opts.kpss_lag);
-      post.ok())
+  if (auto post = stats::kpss_test(ref.series); post.ok())
     ref.kpss_post = post.value();
   return ref;
 }

@@ -280,20 +280,20 @@ TEST(AggregationPyramid, DedupsSortsAndDropsZeros) {
   EXPECT_EQ(pyr.levels(), want);
 }
 
-TEST(AggregationPyramid, SharedPmDoesNotChangeBits) {
-  // The cascade/PM routing depends only on (n, levels), so passing an
-  // external PrefixMoments must reproduce every level bit for bit.
+TEST(AggregationPyramid, LevelsWithoutADivisorEqualAggregateBitForBit) {
+  // A level with no materialized divisor is aggregated from the input by
+  // the same kernel as timeseries::aggregate, whatever its size.
   const auto xs = random_series(997, 9);
-  const std::vector<std::size_t> levels = {2, 5, 9, 18, 31, 62};
-  const stats::PrefixMoments pm(xs);
-  const timeseries::AggregationPyramid with_pm(xs, levels, &pm);
-  const timeseries::AggregationPyramid without(xs, levels);
-  for (std::size_t m : levels) {
-    const auto a = with_pm.level(m);
-    const auto b = without.level(m);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t k = 0; k < a.size(); ++k)
-      ASSERT_EQ(bits(a[k]), bits(b[k])) << "m=" << m << " k=" << k;
+  for (const std::vector<std::size_t>& levels :
+       {std::vector<std::size_t>{1, 10}, std::vector<std::size_t>{7, 101, 333}}) {
+    const timeseries::AggregationPyramid pyr(xs, levels);
+    for (std::size_t m : levels) {
+      const auto got = pyr.level(m);
+      const auto want = timeseries::aggregate(xs, m);
+      ASSERT_EQ(got.size(), want.size()) << "m=" << m;
+      for (std::size_t k = 0; k < want.size(); ++k)
+        ASSERT_EQ(bits(got[k]), bits(want[k])) << "m=" << m << " k=" << k;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -283,6 +284,21 @@ TEST_F(StoreColumnarCorruption, MissingFileIsIoError) {
   auto r = Dataset::from_columnar("/tmp/fullweb_columnar_does_not_exist.fwc");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().category, "io");
+}
+
+TEST(StoreColumnar, DirectoryIsIoError) {
+  auto r = Dataset::from_columnar(std::filesystem::temp_directory_path().string());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().category, "io");
+}
+
+TEST(StoreColumnar, EmptyFileIsParseError) {
+  const std::string path = temp_path("empty");
+  dump(path, {});
+  auto r = Dataset::from_columnar(path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().category, "parse");  // no magic
 }
 
 TEST(StoreColumnar, ExtensionHeuristic) {

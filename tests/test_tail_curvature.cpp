@@ -53,6 +53,19 @@ TEST(LlcdCurvature, RejectsNaNTailFraction) {
   EXPECT_EQ(c.error().category, "invalid_argument");
 }
 
+TEST(LlcdCurvature, RejectsNaNSample) {
+  // 1% NaN once read a curvature of 0.382 where the clean sample reads
+  // 0.0103: a sorted NaN sits at one end and shifts every rank.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double nan : {kNaN, -kNaN}) {
+    auto xs = sample_from(stats::Pareto(1.5, 1.0), 3000, 27);
+    for (std::size_t i = 0; i < xs.size(); i += 100) xs[i] = nan;
+    const auto r = llcd_curvature(xs, 0.5);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().category, "invalid_argument");
+  }
+}
+
 /// The statistic by its definition: the LLCD plot, the (1 - tail_fraction)
 /// quantile of its log10 x as the cut, and the quadratic fit over every
 /// plot point at or above the cut.
@@ -255,6 +268,25 @@ TEST(CurvatureTest, RejectsNaNTailFraction) {
     const auto r = curvature_test(xs, rng, opts);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().category, "invalid_argument");
+  }
+}
+
+TEST(CurvatureTest, RejectsNaNSample) {
+  // Dropping NaN with the non-positive values would test a smaller sample
+  // than the caller passed; a NaN of either sign is flagged instead.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double nan : {kNaN, -kNaN}) {
+    auto xs = sample_from(stats::Pareto(1.5, 1.0), 3000, 25);
+    for (std::size_t i = 0; i < xs.size(); i += 100) xs[i] = nan;
+    for (const TailModel model : {TailModel::kPareto, TailModel::kLognormal}) {
+      support::Rng rng(26);
+      CurvatureOptions opts;
+      opts.model = model;
+      opts.replicates = 19;
+      const auto r = curvature_test(xs, rng, opts);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.error().category, "invalid_argument");
+    }
   }
 }
 

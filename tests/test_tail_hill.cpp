@@ -101,6 +101,22 @@ TEST(HillPlot, EmptyTopSetIsInsufficientData) {
   EXPECT_FALSE(hill_plot_from_top(std::span<const double>{}, 1000).ok());
 }
 
+TEST(HillPlot, RejectsNaN) {
+  // Non-positive values leave the plot, but a NaN is not a value to drop:
+  // it is flagged, whatever its sign.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double nan : {kNaN, -kNaN}) {
+    auto xs = sample_from(stats::Pareto(1.5, 1.0), 3000, 28);
+    for (std::size_t i = 0; i < xs.size(); i += 100) xs[i] = nan;
+    const auto plot = hill_plot(xs);
+    ASSERT_FALSE(plot.ok());
+    EXPECT_EQ(plot.error().category, "invalid_argument");
+    const auto est = hill_estimate(xs);
+    ASSERT_FALSE(est.ok());
+    EXPECT_EQ(est.error().category, "invalid_argument");
+  }
+}
+
 TEST(HillPlot, IgnoresNonPositiveSamples) {
   auto xs = sample_from(stats::Pareto(1.5, 1.0), 5000, 84);
   xs.push_back(-1.0);

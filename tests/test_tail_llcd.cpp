@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "stats/descriptive.h"
 #include "stats/distributions.h"
+#include "stats/regression.h"
 #include "support/rng.h"
 
 namespace fullweb::tail {
@@ -205,6 +214,223 @@ TEST(LlcdFit, TailSampleCountReported) {
   const auto fit = llcd_fit(xs, opts);
   ASSERT_TRUE(fit.ok());
   EXPECT_NEAR(static_cast<double>(fit.value().tail_samples), 2500.0, 150.0);
+}
+
+// ---------------------------------------------------------------------------
+// The plot and the fit against a test-local copy of their construction,
+// the reference any faster construction must match bit for bit: the plot
+// from an ECDF over a std::sort copy, and the fit's quantile thetas from a
+// second std::sort of the positive samples.
+
+/// The plot by its definition: sort, collapse ties to the rank of their last
+/// occurrence, F = rank / n, then log10 of every distinct positive value
+/// except the largest (where the CCDF is 0).
+support::Result<LlcdPlot> reference_plot(std::span<const double> xs) {
+  if (xs.size() < 2) return support::Error::insufficient_data("need n >= 2");
+  std::vector<double> sorted(xs.begin(), xs.end());
+  std::sort(sorted.begin(), sorted.end());
+  const auto n = static_cast<double>(sorted.size());
+  std::vector<double> x, f;
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if (i + 1 < sorted.size() && sorted[i + 1] == sorted[i]) continue;
+    x.push_back(sorted[i]);
+    f.push_back(static_cast<double>(i + 1) / n);
+  }
+  LlcdPlot plot;
+  for (std::size_t i = 0; i + 1 < x.size(); ++i) {
+    if (!(x[i] > 0.0)) continue;
+    plot.log10_x.push_back(std::log10(x[i]));
+    plot.log10_ccdf.push_back(std::log10(1.0 - f[i]));
+  }
+  if (plot.log10_x.size() < 2)
+    return support::Error::insufficient_data("fewer than 2 positive points");
+  return plot;
+}
+
+/// The regression over the plot points with log10 x >= log10 theta.
+std::optional<LlcdFit> reference_fit_above(const LlcdPlot& plot, double theta,
+                                           std::size_t min_points) {
+  std::vector<double> lx, ly;
+  for (std::size_t i = 0; i < plot.log10_x.size(); ++i) {
+    if (plot.log10_x[i] >= std::log10(theta)) {
+      lx.push_back(plot.log10_x[i]);
+      ly.push_back(plot.log10_ccdf[i]);
+    }
+  }
+  if (lx.size() < min_points) return std::nullopt;
+  const auto f = stats::ols(lx, ly);
+  if (!(f.slope < 0.0)) return std::nullopt;
+  LlcdFit fit;
+  fit.alpha = -f.slope;
+  fit.stderr_alpha = f.stderr_slope;
+  fit.r_squared = f.r_squared;
+  fit.theta = theta;
+  fit.points = lx.size();
+  return fit;
+}
+
+support::Result<LlcdFit> reference_fit(std::span<const double> xs,
+                                       const LlcdOptions& options) {
+  auto plot_r = reference_plot(xs);
+  if (!plot_r) return plot_r.error();
+  const LlcdPlot& plot = plot_r.value();
+  const auto with_tail_samples = [&](LlcdFit fit) {
+    fit.tail_samples = static_cast<std::size_t>(std::count_if(
+        xs.begin(), xs.end(), [&](double v) { return v >= fit.theta; }));
+    return fit;
+  };
+  if (!std::isnan(options.theta)) {
+    const auto a = reference_fit_above(plot, options.theta, options.min_points);
+    if (!a) return support::Error::insufficient_data("too few above theta");
+    return with_tail_samples(*a);
+  }
+  std::vector<double> positive;
+  for (double v : xs)
+    if (v > 0.0) positive.push_back(v);
+  if (positive.size() < options.min_points)
+    return support::Error::insufficient_data("too few positive samples");
+  std::sort(positive.begin(), positive.end());
+  if (options.tail_fraction > 0.0) {
+    const double theta = stats::quantile_sorted(
+        positive, std::clamp(1.0 - options.tail_fraction, 0.0, 1.0));
+    const auto a = reference_fit_above(plot, theta, options.min_points);
+    if (!a) return support::Error::insufficient_data("too few in tail");
+    return with_tail_samples(*a);
+  }
+  std::optional<LlcdFit> best;
+  for (double frac : {0.50, 0.40, 0.30, 0.25, 0.20, 0.15, 0.10, 0.07, 0.05,
+                      0.03, 0.02, 0.01}) {
+    const double theta = stats::quantile_sorted(positive, 1.0 - frac);
+    const auto a = reference_fit_above(plot, theta, options.min_points);
+    if (a && (!best || a->r_squared > best->r_squared)) best = a;
+  }
+  if (!best) return support::Error::insufficient_data("no tail fraction fits");
+  return with_tail_samples(*best);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// One random sample of the kind `kind` names: continuous, on a lattice with
+/// heavy ties, few-valued, or signed with zeros of both signs among ties.
+std::vector<double> mixed_sample(int kind, std::size_t n, support::Rng& rng) {
+  const stats::Pareto pareto(0.8 + 2.0 * rng.uniform(), 1.0);
+  const stats::Lognormal lognormal(3.0 * rng.uniform() - 1.0,
+                                   0.3 + 2.0 * rng.uniform());
+  std::vector<double> xs(n);
+  for (auto& x : xs) {
+    switch (kind) {
+      case 0: x = pareto.sample(rng); break;
+      case 1: x = lognormal.sample(rng); break;
+      case 2: x = std::ceil(pareto.sample(rng)); break;        // integer ties
+      case 3: x = static_cast<double>(1 + rng.below(6)); break;  // few values
+      case 4:  // continuous, both signs
+        x = (rng.uniform() < 0.4 ? -1.0 : 1.0) * lognormal.sample(rng);
+        break;
+      default: {  // integers with +0.0, -0.0 and negatives among the ties
+        const double v = std::floor(pareto.sample(rng)) - 1.0;
+        const double u = rng.uniform();
+        x = u < 0.1 ? -0.0 : u < 0.25 ? -v : v;
+        break;
+      }
+    }
+  }
+  return xs;
+}
+
+TEST(LlcdReference, PlotAndFitMatchBitForBit) {
+  support::Rng rng(2024);
+  std::size_t plots = 0;
+  std::size_t fits = 0;
+  for (std::size_t c = 0; c < 1200; ++c) {
+    const int kind = static_cast<int>(c % 6);
+    const std::size_t n = c % 4 == 3 ? 2 + rng.below(4999) : 2 + rng.below(400);
+    const auto xs = mixed_sample(kind, n, rng);
+
+    const auto plot = llcd_plot(xs);
+    const auto want_plot = reference_plot(xs);
+    ASSERT_EQ(plot.ok(), want_plot.ok()) << "case " << c << " n " << n;
+    if (plot.ok()) {
+      ++plots;
+      const auto& got = plot.value();
+      const auto& want = want_plot.value();
+      ASSERT_EQ(got.log10_x.size(), want.log10_x.size()) << "case " << c;
+      ASSERT_EQ(got.log10_ccdf.size(), want.log10_ccdf.size()) << "case " << c;
+      for (std::size_t i = 0; i < want.log10_x.size(); ++i) {
+        ASSERT_EQ(bits(got.log10_x[i]), bits(want.log10_x[i]))
+            << "case " << c << " i " << i;
+        ASSERT_EQ(bits(got.log10_ccdf[i]), bits(want.log10_ccdf[i]))
+            << "case " << c << " i " << i;
+      }
+    } else {
+      EXPECT_EQ(plot.error().category, want_plot.error().category);
+    }
+
+    // Auto theta, a tail fraction, and an explicit theta: a sample value
+    // (ties at theta), zero of either sign, a negative, or past the maximum.
+    LlcdOptions by_fraction;
+    by_fraction.tail_fraction = 0.02 + 0.6 * rng.uniform();
+    LlcdOptions by_theta;
+    const double explicit_thetas[] = {xs[rng.below(n)], 0.0, -0.0, -1.0,
+                                      1e-300, 1e9};
+    by_theta.theta = explicit_thetas[rng.below(std::size(explicit_thetas))];
+    for (LlcdOptions opts : {LlcdOptions{}, by_fraction, by_theta}) {
+      opts.min_points = c % 3 == 0 ? 2 : 10;
+      const auto got = llcd_fit(xs, opts);
+      const auto want = reference_fit(xs, opts);
+      ASSERT_EQ(got.ok(), want.ok())
+          << "case " << c << " n " << n << " theta " << opts.theta
+          << " fraction " << opts.tail_fraction;
+      if (!want.ok()) {
+        EXPECT_EQ(got.error().category, want.error().category) << "case " << c;
+        continue;
+      }
+      ++fits;
+      const LlcdFit& g = got.value();
+      const LlcdFit& w = want.value();
+      EXPECT_EQ(bits(g.alpha), bits(w.alpha)) << "case " << c;
+      EXPECT_EQ(bits(g.stderr_alpha), bits(w.stderr_alpha)) << "case " << c;
+      EXPECT_EQ(bits(g.r_squared), bits(w.r_squared)) << "case " << c;
+      EXPECT_EQ(bits(g.theta), bits(w.theta)) << "case " << c;
+      EXPECT_EQ(g.points, w.points) << "case " << c;
+      EXPECT_EQ(g.tail_samples, w.tail_samples) << "case " << c;
+    }
+  }
+  // Both outcomes must be well covered for the comparison to mean much.
+  EXPECT_GT(plots, 900U);
+  EXPECT_GT(fits, 1500U);
+}
+
+// A NaN has no place on the log axis and no rank, and dropping it silently
+// shifts every CCDF value: Pareto(1.5) with 1% NaN read alpha = 1.53, not
+// 1.51. Both NaN signs are checked, since a sort puts them at opposite ends.
+std::vector<double> pareto_with_nan(double nan) {
+  auto xs = pareto_sample(1.5, 1.0, 3000, 67);
+  for (std::size_t i = 0; i < xs.size(); i += 100) xs[i] = nan;
+  return xs;
+}
+
+TEST(LlcdPlot, RejectsNaN) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double nan : {kNaN, -kNaN}) {
+    const auto plot = llcd_plot(pareto_with_nan(nan));
+    ASSERT_FALSE(plot.ok());
+    EXPECT_EQ(plot.error().category, "invalid_argument");
+  }
+}
+
+TEST(LlcdFit, RejectsNaN) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  LlcdOptions by_fraction;
+  by_fraction.tail_fraction = 0.1;
+  LlcdOptions by_theta;
+  by_theta.theta = 2.0;
+  for (const double nan : {kNaN, -kNaN}) {
+    for (const LlcdOptions& opts : {LlcdOptions{}, by_fraction, by_theta}) {
+      const auto fit = llcd_fit(pareto_with_nan(nan), opts);
+      ASSERT_FALSE(fit.ok());
+      EXPECT_EQ(fit.error().category, "invalid_argument");
+    }
+  }
 }
 
 }  // namespace

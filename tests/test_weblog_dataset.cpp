@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "support/rng.h"
@@ -167,50 +169,27 @@ Dataset hourly_dataset() {
   return std::move(ds).value();
 }
 
-TEST(Dataset, ExplicitWindowPartitionClipsToNativeGrid) {
+// An interval the window cannot be counted in (not finite, or shorter than
+// the one second a CLF timestamp resolves) yields no partition, and pick
+// names it; inf and 1e-300 once sized the partition from an out-of-range
+// cast and wrote past an empty vector, and 1e-9 asked for 10^13 intervals.
+TEST(Dataset, UncountableIntervalYieldsNoIntervals) {
   const auto ds = hourly_dataset();
-  // Window starts mid-hour-0 and ends mid-hour-6: the leading and trailing
-  // intervals are partial, the five in between are full grid hours.
-  const auto parts = ds.partition(1800.0, 6.5 * 3600.0, 3600.0);
-  ASSERT_EQ(parts.size(), 7U);
-  EXPECT_EQ(parts.front().index, 0U);
-  EXPECT_DOUBLE_EQ(parts.front().t0, 1800.0);
-  EXPECT_DOUBLE_EQ(parts.front().t1, 3600.0);  // clipped leading interval
-  EXPECT_DOUBLE_EQ(parts.back().t0, 6 * 3600.0);
-  EXPECT_DOUBLE_EQ(parts.back().t1, 6.5 * 3600.0);  // clipped trailing
-  for (std::size_t i = 1; i + 1 < parts.size(); ++i) {
-    EXPECT_DOUBLE_EQ(parts[i].t1 - parts[i].t0, 3600.0) << "interval " << i;
-    EXPECT_EQ(parts[i].index, i);
+  for (const double s : {std::numeric_limits<double>::infinity(), 1e-300, 1e-9,
+                         0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(ds.partition(s).empty()) << s;
+    const auto picked = ds.pick(Load::kMed, s);
+    ASSERT_FALSE(picked.ok()) << s;
+    EXPECT_EQ(picked.error().category, "invalid_argument") << s;
+    EXPECT_NE(picked.error().message.find("interval"), std::string::npos)
+        << picked.error().message;
   }
-  // Hour 0 has 2 requests at t = 0, 3: none inside [1800, 3600).
-  EXPECT_EQ(parts.front().request_count, 0U);
-  // Hour 6's requests run t = 21600..21657, all inside [21600, 23400).
-  EXPECT_EQ(parts.back().request_count, 70U);
-  EXPECT_EQ(parts[1].request_count, 20U);  // hour 1
+  // One second is the shortest interval counted.
+  EXPECT_EQ(ds.partition(1.0).size(), static_cast<std::size_t>(ds.t1() - ds.t0()));
 }
 
-// Regression for the "drop the first and last interval if partial" comment:
-// only the last was ever dropped. With a non-aligned explicit window the
-// leading partial interval (here: empty, so it would win Low) must be
-// dropped before the Low/Med/High selection.
-TEST(Dataset, PickDropsPartialFirstIntervalInExplicitWindow) {
-  const auto ds = hourly_dataset();
-  // Window [0.5h, 6.5h): partial first (0 requests) and partial last (70
-  // requests, the would-be maximum). Eligible full hours 1..5 carry
-  // 20/30/40/50/60.
-  const auto low = ds.pick(Load::kLow, 1800.0, 6.5 * 3600.0, 3600.0);
-  const auto med = ds.pick(Load::kMed, 1800.0, 6.5 * 3600.0, 3600.0);
-  const auto high = ds.pick(Load::kHigh, 1800.0, 6.5 * 3600.0, 3600.0);
-  ASSERT_TRUE(low.ok());
-  ASSERT_TRUE(med.ok());
-  ASSERT_TRUE(high.ok());
-  EXPECT_EQ(low.value().request_count, 20U);   // not the empty partial first
-  EXPECT_EQ(med.value().request_count, 40U);
-  EXPECT_EQ(high.value().request_count, 60U);  // not the partial last
-}
-
-// The default whole-window pick is grid-anchored, so its first interval is
-// always full; behavior must be unchanged (only a partial *last* dropped).
+// The partition grid starts at the window start, so its first interval is
+// always full and only a partial *last* interval is dropped.
 TEST(Dataset, PickDefaultWindowUnchanged) {
   const auto ds = hourly_dataset();  // window ends mid-hour-7
   const auto low = ds.pick(Load::kLow, 3600.0);
@@ -219,7 +198,7 @@ TEST(Dataset, PickDefaultWindowUnchanged) {
   const auto high = ds.pick(Load::kHigh, 3600.0);
   ASSERT_TRUE(high.ok());
   // Hour 7 holds 80 requests but its interval is clipped at t1 (partial) and
-  // dropped, exactly as before this fix; hour 6 wins.
+  // dropped; hour 6 wins.
   EXPECT_EQ(high.value().request_count, 70U);
 }
 

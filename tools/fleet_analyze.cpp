@@ -26,6 +26,7 @@
 //   fleet_analyze --json fleet.json logs/*.fwc
 //   fleet_analyze --write-store /data/store logs/vhost*.log
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -277,6 +278,17 @@ int main(int argc, char** argv) {
   flags.define("online-snapshots", "4",
                "periodic rolling-window snapshots per shard in --online mode");
   if (!flags.parse(argc, argv)) return 2;
+  // Dataset::partition counts whole seconds: an interval under one second,
+  // or one that is not finite, cuts the window into no intervals at all.
+  const double interval_hours = flags.get_double("interval-hours");
+  if (const double seconds = interval_hours * 3600.0;
+      !(seconds >= 1.0) || !std::isfinite(seconds)) {
+    std::fprintf(stderr,
+                 "flag --interval-hours expects a finite length of at least "
+                 "one second, got '%s'\n",
+                 flags.get("interval-hours").c_str());
+    return 2;
+  }
 
   const std::size_t n_synth = flags.get_count("synthetic");
   std::vector<Dataset> shards;
@@ -316,7 +328,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   const std::size_t threads = flags.get_count("threads");
   const bool fast = flags.get_bool("fast");
-  const double interval_hours = flags.get_double("interval-hours");
   const bool include_shards = !flags.get_bool("no-shards");
 
   if (flags.get_bool("online")) {
