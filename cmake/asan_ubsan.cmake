@@ -47,7 +47,8 @@ endif()
 # covers the per-replicate samples of the Monte-Carlo curvature test, their
 # radix sort and the quantile index the statistic's cut is read at.
 # test_stats_descriptive covers stats::quantile_sorted itself, whose
-# position-to-index cast float-cast-overflow checks (a NaN q included).
+# position-to-index cast float-cast-overflow checks (a NaN q included),
+# and stats::radix_sort's digit passes over every exponent and sign.
 # test_tail_llcd and test_tail_hill cover the two tail kernels' index math:
 # LLCD's regression suffix found by binary search over the plot and its
 # tail-sample count over the sorted sample, and Hill's walk over a top set

@@ -5,7 +5,7 @@
 #include <limits>
 #include <utility>
 
-#include "online/alias_table.h"
+#include "stats/descriptive.h"
 
 namespace fullweb::online {
 
@@ -23,15 +23,13 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-/// Exponential-race priority: E = -log(u) / w with u in (0, 1] hashed from
-/// the tag. Smaller is more likely to survive; larger weight shrinks the
-/// priority, biasing survival toward heavy items.
-double race_priority(std::uint64_t tag, double weight) noexcept {
+/// Exponential-race priority: E = -log(u) with u in (0, 1] hashed from the
+/// tag. Smaller is more likely to survive; every item has unit weight.
+double race_priority(std::uint64_t tag) noexcept {
   const std::uint64_t bits = mix64(tag ^ 0x5851f42d4c957f2dULL) >> 11;
   double u = static_cast<double>(bits) * 0x1.0p-53;
   if (u == 0.0) u = 0x1.0p-53;
-  const double w = (weight > 0.0 && std::isfinite(weight)) ? weight : 1.0;
-  return -std::log(u) / w;
+  return -std::log(u);
 }
 
 /// Total order for the top set: larger values first. The tag tiebreak makes
@@ -63,7 +61,7 @@ std::uint64_t TailSketch::make_tag(std::uint64_t salt,
   return mix64(salt + 0x9e3779b97f4a7c15ULL * (seq + 1));
 }
 
-void TailSketch::insert(double value, std::uint64_t tag, double weight) {
+void TailSketch::insert(double value, std::uint64_t tag) {
   if (!(std::isfinite(value) && value > 0.0)) {
     ++rejected_;
     return;
@@ -77,7 +75,7 @@ void TailSketch::insert(double value, std::uint64_t tag, double weight) {
   }
   ++accepted_;
 
-  Item item{value, tag, race_priority(tag, weight)};
+  Item item{value, tag, race_priority(tag)};
   if (top_.size() < top_k_ || top_before(item, top_.back())) {
     auto pos = std::lower_bound(top_.begin(), top_.end(), item, top_before);
     top_.insert(pos, item);
@@ -134,6 +132,12 @@ Status TailSketch::merge(const TailSketch& other) {
   return {};
 }
 
+double TailSketch::body_weight() const noexcept {
+  const double body_pop =
+      static_cast<double>(accepted_) - static_cast<double>(top_.size());
+  return body_.empty() ? 0.0 : body_pop / static_cast<double>(body_.size());
+}
+
 std::vector<double> TailSketch::top_values() const {
   std::vector<double> out;
   out.reserve(top_.size());
@@ -160,16 +164,14 @@ std::vector<double> TailSketch::quantiles(std::span<const double> qs) const {
   // The retained sets form one ascending weighted empirical distribution,
   // ordered by (value, weight). Each body survivor stands in for an equal
   // share of the unretained body population. The top set is already in
-  // descending value order, so only the body values need sorting; walking
-  // the top set backwards merges the two.
-  const double body_pop =
-      static_cast<double>(accepted_) - static_cast<double>(top_.size());
-  const double body_w =
-      body_.empty() ? 0.0 : body_pop / static_cast<double>(body_.size());
+  // descending value order, so only the body values need sorting (by the
+  // radix sort: they are positive and finite, so it orders them as
+  // std::sort would); walking the top set backwards merges the two.
+  const double body_w = body_weight();
   std::vector<double> body;
   body.reserve(body_.size());
   for (const Item& it : body_) body.push_back(it.value);
-  std::sort(body.begin(), body.end());
+  stats::radix_sort(body);
 
   auto top = top_.rbegin();
   auto b = body.begin();
@@ -213,26 +215,60 @@ std::vector<double> TailSketch::sample_values(std::size_t max_n,
     return out;
   }
 
-  const double body_pop =
-      static_cast<double>(accepted_) - static_cast<double>(top_.size());
-  const double body_w =
-      body_.empty() ? 0.0 : body_pop / static_cast<double>(body_.size());
-  std::vector<double> values;
-  std::vector<double> weights;
-  values.reserve(retained());
-  weights.reserve(retained());
-  for (const Item& it : top_) {
-    values.push_back(it.value);
-    weights.push_back(1.0);
+  // Vose's alias table over one weight per retained item, 1 for each top
+  // item and then body_w for each body item, built from the two classes.
+  // The total is summed in that order (the top's ones sum exactly), and
+  // each class has one scaled probability. Both worklists start as index
+  // ranges, ascending and popped from the back: the classes scaled below 1
+  // on the small list, the rest on the large one. A pairing returns its
+  // donor to the top of one list, where the next pairing pops it first, so
+  // one returned index at a time is all that leaves the ranges. Leftovers
+  // keep probability 1. Column k draws top_[k] for k < t, else body_[k - t].
+  const std::size_t t = top_.size();
+  const std::size_t n = retained();
+  const double body_w = body_weight();
+  double total = static_cast<double>(t);
+  for (std::size_t i = t; i < n; ++i) total += body_w;
+  const double scaled_top = 1.0 / total * static_cast<double>(n);
+  const double scaled_body = body_w / total * static_cast<double>(n);
+  const auto scaled = [&](std::size_t k) {
+    return k < t ? scaled_top : scaled_body;
+  };
+  const std::size_t small_lo = scaled_top < 1.0 ? 0 : t;
+  std::size_t small_hi = scaled_body < 1.0 ? n : t;
+  const std::size_t large_lo = scaled_top < 1.0 ? t : 0;
+  std::size_t large_hi = scaled_body < 1.0 ? t : n;
+  enum class List { kNone, kSmall, kLarge } donor_on = List::kNone;
+  std::size_t donor = 0;
+  double donor_scaled = 0.0;
+
+  struct Column {
+    double prob;
+    std::size_t alias;
+  };
+  std::vector<Column> table(n);
+  for (std::size_t k = 0; k < n; ++k) table[k] = {1.0, k};
+  while ((donor_on == List::kSmall || small_lo < small_hi) &&
+         (donor_on == List::kLarge || large_lo < large_hi)) {
+    const bool small_donor = donor_on == List::kSmall;
+    const std::size_t s = small_donor ? donor : --small_hi;
+    const double ps = small_donor ? donor_scaled : scaled(s);
+    const bool large_donor = donor_on == List::kLarge;
+    const std::size_t l = large_donor ? donor : --large_hi;
+    const double pl = large_donor ? donor_scaled : scaled(l);
+    table[s] = {ps, l};
+    donor = l;
+    donor_scaled = (pl + ps) - 1.0;
+    donor_on = donor_scaled < 1.0 ? List::kSmall : List::kLarge;
   }
-  for (const Item& it : body_) {
-    values.push_back(it.value);
-    weights.push_back(body_w);
-  }
-  const AliasTable table(weights);
-  if (table.empty()) return out;
+
   out.reserve(max_n);
-  for (std::size_t i = 0; i < max_n; ++i) out.push_back(values[table.draw(rng)]);
+  for (std::size_t i = 0; i < max_n; ++i) {
+    const auto col = static_cast<std::size_t>(rng.below(n));
+    const double u = rng.uniform();
+    const std::size_t k = u < table[col].prob ? col : table[col].alias;
+    out.push_back(k < t ? top_[k].value : body_[k - t].value);
+  }
   return out;
 }
 

@@ -9,9 +9,9 @@
 //    sketch's Hill plot is bit-identical to the batch one over the full
 //    sample; and
 //  * a bottom-m *priority sample* of the remaining "body": every item gets
-//    a fixed priority -log(u)/w with u hashed from its identity tag
-//    (Efraimidis–Spira exponential race; w = 1 gives a uniform sample),
-//    and the m smallest priorities survive.
+//    a fixed priority -log(u) with u hashed from its identity tag (the
+//    Efraimidis–Spira exponential race at unit weight, so the survivors
+//    are a uniform sample), and the m smallest priorities survive.
 //
 // Both retained sets are pure functions of the set of items ever inserted:
 // the k-largest and m-smallest selections are associative and commutative,
@@ -55,10 +55,10 @@ class TailSketch {
   [[nodiscard]] static std::uint64_t make_tag(std::uint64_t salt,
                                               std::uint64_t seq) noexcept;
 
-  /// Insert a value with sampling weight `weight` (> 0; 1 = uniform body
-  /// sampling). Non-finite or non-positive values are counted in rejected()
-  /// and otherwise ignored — the tail estimators only ever read positives.
-  void insert(double value, std::uint64_t tag, double weight = 1.0);
+  /// Insert a value. Non-finite or non-positive values are counted in
+  /// rejected() and otherwise ignored — the tail estimators only ever read
+  /// positives.
+  void insert(double value, std::uint64_t tag);
 
   /// Fold `other` (built over disjoint identities, same capacities) into
   /// this sketch. Errors on capacity mismatch; bit-exact in any order.
@@ -104,14 +104,19 @@ class TailSketch {
   /// A value sample suitable for the batch distribution fitters
   /// (tail::llcd_fit): when nothing was dropped and the retained multiset
   /// fits max_n this is the exact sample (ascending), otherwise `max_n`
-  /// alias-table draws proportional to the per-item representation
-  /// weights. Consumes rng only on the sampled path; deterministic given
-  /// the rng state.
+  /// with-replacement draws proportional to the per-item representation
+  /// weights (1 per top item, the quantiles' body weight per body item),
+  /// by Vose's alias method: one below(retained()) and one uniform() per
+  /// draw. Consumes rng only on the sampled path; deterministic given the
+  /// rng state.
   [[nodiscard]] std::vector<double> sample_values(std::size_t max_n,
                                                   support::Rng& rng) const;
 
  private:
   void body_compete(const Item& item);
+  /// The share of the body population each body survivor stands for (0
+  /// when the body is empty).
+  [[nodiscard]] double body_weight() const noexcept;
   void rebuild_from(std::vector<Item>&& items);
 
   std::size_t top_k_;

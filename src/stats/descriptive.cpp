@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace fullweb::stats {
 
@@ -180,27 +181,6 @@ Summary summarize(std::span<const double> xs) {
   s.median = quantile_sorted(sorted, 0.50);
   s.q75 = quantile_sorted(sorted, 0.75);
   return s;
-}
-
-std::vector<double> Ecdf::ccdf() const {
-  std::vector<double> out(f.size());
-  for (std::size_t i = 0; i < f.size(); ++i) out[i] = 1.0 - f[i];
-  return out;
-}
-
-Ecdf ecdf(std::span<const double> xs) {
-  Ecdf e;
-  if (xs.empty()) return e;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  const auto n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    // Collapse ties: record the cumulative count at the *last* occurrence.
-    if (i + 1 < sorted.size() && sorted[i + 1] == sorted[i]) continue;
-    e.x.push_back(sorted[i]);
-    e.f.push_back(static_cast<double>(i + 1) / n);
-  }
-  return e;
 }
 
 }  // namespace fullweb::stats

@@ -1,10 +1,9 @@
-// Descriptive statistics and empirical distribution utilities.
+// Descriptive statistics, quantiles and the shared ascending sort.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace fullweb::stats {
 
@@ -72,6 +71,14 @@ void minmax_prefix_walk(std::span<const double> cum, double base, double step,
 /// A NaN q yields NaN.
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q) noexcept;
 
+/// Sorts ascending by an LSD radix sort over order-preserving keys, 8 bits
+/// a digit, skipping a digit every key shares (whole-number samples share
+/// their low mantissa bytes). Gives std::sort's sequence for any input
+/// without NaN, except that -0.0 always precedes +0.0; a NaN goes to the
+/// end its sign bit names (+NaN above +inf, -NaN below -inf). Built with
+/// the hot-kernel flags (radix_sort.cpp).
+void radix_sort(std::span<double> xs);
+
 /// Five-number summary plus mean/sd, used in workload reports.
 struct Summary {
   std::size_t n = 0;
@@ -79,16 +86,5 @@ struct Summary {
   double min = 0, q25 = 0, median = 0, q75 = 0, max = 0;
 };
 [[nodiscard]] Summary summarize(std::span<const double> xs);
-
-/// Empirical CDF evaluated at each distinct sample point.
-/// Returns sorted x values and F(x) = (# samples <= x) / n.
-struct Ecdf {
-  std::vector<double> x;   ///< distinct sorted sample values
-  std::vector<double> f;   ///< F(x[i]), strictly increasing, last = 1
-  /// Complementary CDF P[X > x[i]] = 1 - f[i]; the last entry is 0 and is
-  /// typically dropped before log-log plotting.
-  [[nodiscard]] std::vector<double> ccdf() const;
-};
-[[nodiscard]] Ecdf ecdf(std::span<const double> xs);
 
 }  // namespace fullweb::stats

@@ -606,6 +606,7 @@ support::Result<Dataset> Dataset::from_columnar(const std::string& path) {
       store::decode(path, mapped.value().data(), mapped.value().size());
   if (!tables.ok()) return tables.error();
   auto& t = tables.value();
+  if (auto st = check_window(t.t0, t.t1); !st.ok()) return st.error();
 
   Dataset ds;
   ds.name_ = std::move(t.name);

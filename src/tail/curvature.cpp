@@ -1,13 +1,9 @@
 #include "tail/curvature.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <functional>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -21,40 +17,6 @@ using support::Error;
 using support::Result;
 
 namespace {
-
-/// Sorts ascending by an LSD radix sort over order-preserving keys: a
-/// non-negative double's bits gain the sign bit, a negative one's are all
-/// flipped, so unsigned key order is numeric order. Digits are 8 bits, and
-/// a digit that every key shares is skipped (whole-number samples share
-/// their low mantissa bytes). Gives std::sort's sequence for any input
-/// without NaN, except that -0.0 always precedes +0.0.
-void radix_sort(std::vector<double>& xs) {
-  const std::size_t n = xs.size();
-  if (n < 2) return;
-  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
-  std::vector<std::uint64_t> keys(n);
-  std::vector<std::uint64_t> scratch(n);
-  std::array<std::array<std::size_t, 256>, 8> counts{};
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto b = std::bit_cast<std::uint64_t>(xs[i]);
-    const std::uint64_t key = b ^ ((std::uint64_t{0} - (b >> 63)) | kSign);
-    keys[i] = key;
-    for (std::size_t d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 0xff];
-  }
-  for (std::size_t d = 0; d < 8; ++d) {
-    auto& offsets = counts[d];
-    const unsigned shift = 8 * static_cast<unsigned>(d);
-    if (offsets[(keys[0] >> shift) & 0xff] == n) continue;
-    std::size_t sum = 0;
-    for (auto& c : offsets) sum += std::exchange(c, sum);
-    for (const std::uint64_t key : keys) scratch[offsets[(key >> shift) & 0xff]++] = key;
-    keys.swap(scratch);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t key = keys[i];
-    xs[i] = std::bit_cast<double>(key ^ (((key >> 63) - 1) | kSign));
-  }
-}
 
 /// log10(1 - r/n) for every rank r < n: the LLCD plot's y value at a
 /// distinct value whose last occurrence has rank r, by llcd_plot's own
@@ -123,7 +85,7 @@ Result<double> llcd_curvature(std::span<const double> xs, double tail_fraction) 
   if (std::isnan(tail_fraction))
     return Error::invalid_argument("llcd_curvature: tail_fraction is NaN");
   std::vector<double> sorted(xs.begin(), xs.end());
-  radix_sort(sorted);
+  stats::radix_sort(sorted);
   // The radix sort puts every NaN at one end (+NaN above +inf, -NaN below
   // -inf), where it would shift every rank.
   if (!sorted.empty() && (std::isnan(sorted.front()) || std::isnan(sorted.back())))
@@ -156,7 +118,7 @@ Result<CurvatureResult> curvature_test(std::span<const double> xs,
   // body; the fits below read `positive` in input order. Every replicate
   // has n values too, so all share one table of CCDF logs.
   std::vector<double> sorted = positive;
-  radix_sort(sorted);
+  stats::radix_sort(sorted);
   const std::vector<double> log10_ccdf = log10_ccdf_by_rank(n);
   auto curv_r = sorted_curvature(sorted, options.tail_fraction, log10_ccdf);
   if (!curv_r) return curv_r.error();
@@ -227,7 +189,7 @@ Result<CurvatureResult> curvature_test(std::span<const double> xs,
         support::Rng& replicate_rng = replicate_rngs[rep];
         std::vector<double> sample(n);
         for (std::size_t i = 0; i < n; ++i) sample[i] = draw(replicate_rng);
-        radix_sort(sample);
+        stats::radix_sort(sample);
         if (auto c = sorted_curvature(sample, options.tail_fraction, log10_ccdf);
             c.ok())
           curvatures[rep] = c.value();

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <vector>
 
 #include "stats/descriptive.h"
 #include "stats/regression.h"
@@ -12,26 +12,37 @@ namespace fullweb::tail {
 using support::Error;
 using support::Result;
 
-Result<LlcdPlot> llcd_plot(std::span<const double> xs) {
-  // A NaN has no rank: sorted in, it would shift every CCDF value.
-  if (std::any_of(xs.begin(), xs.end(), [](double v) { return std::isnan(v); }))
-    return Error::invalid_argument("llcd_plot: sample holds NaN");
-  if (xs.size() < 2) return Error::insufficient_data("llcd_plot: need n >= 2");
-  const auto e = stats::ecdf(xs);
+namespace {
+
+/// The plot's points from an ascending copy of the sample: ties collapse to
+/// their last occurrence, whose rank r gives F = (r + 1) / n, and the
+/// non-positive values and the largest value (CCDF 0) drop out.
+Result<LlcdPlot> plot_from_sorted(std::span<const double> sorted) {
+  const auto n = static_cast<double>(sorted.size());
   LlcdPlot plot;
-  plot.log10_x.reserve(e.x.size());
-  plot.log10_ccdf.reserve(e.x.size());
-  for (std::size_t i = 0; i + 1 < e.x.size(); ++i) {  // drop last (CCDF = 0)
-    if (!(e.x[i] > 0.0)) continue;                    // log axis needs x > 0
-    plot.log10_x.push_back(std::log10(e.x[i]));
-    plot.log10_ccdf.push_back(std::log10(1.0 - e.f[i]));
+  plot.log10_x.reserve(sorted.size());
+  plot.log10_ccdf.reserve(sorted.size());
+  for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
+    if (sorted[i + 1] == sorted[i] || !(sorted[i] > 0.0)) continue;
+    plot.log10_x.push_back(std::log10(sorted[i]));
+    plot.log10_ccdf.push_back(
+        std::log10(1.0 - static_cast<double>(i + 1) / n));
   }
   if (plot.log10_x.size() < 2)
     return Error::insufficient_data("llcd_plot: fewer than 2 positive points");
   return plot;
 }
 
-namespace {
+/// An ascending copy of a sample the plot can rank.
+Result<std::vector<double>> sorted_copy(std::span<const double> xs) {
+  // A NaN has no rank: sorted in, it would shift every CCDF value.
+  if (std::any_of(xs.begin(), xs.end(), [](double v) { return std::isnan(v); }))
+    return Error::invalid_argument("llcd_plot: sample holds NaN");
+  if (xs.size() < 2) return Error::insufficient_data("llcd_plot: need n >= 2");
+  std::vector<double> sorted(xs.begin(), xs.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
 
 struct FitAttempt {
   LlcdFit fit;
@@ -65,19 +76,30 @@ FitAttempt fit_above(const LlcdPlot& plot, double theta,
   return out;
 }
 
-/// The chosen fit with its raw tail count: every sample >= theta. Counted
-/// for the chosen theta only, so the auto-theta scan does not count per
-/// try. An explicit theta may be <= 0, where non-positive samples count too.
-LlcdFit with_tail_samples(LlcdFit fit, std::span<const double> xs) {
-  fit.tail_samples = static_cast<std::size_t>(std::count_if(
-      xs.begin(), xs.end(), [&](double v) { return v >= fit.theta; }));
+/// The chosen fit with its raw tail count: every sample >= theta, a suffix
+/// of the ascending sample. Counted for the chosen theta only, so the
+/// auto-theta scan does not count per try. An explicit theta may be <= 0,
+/// where non-positive samples count too.
+LlcdFit with_tail_samples(LlcdFit fit, std::span<const double> sorted) {
+  const auto first = std::partition_point(
+      sorted.begin(), sorted.end(), [&](double v) { return !(v >= fit.theta); });
+  fit.tail_samples = static_cast<std::size_t>(sorted.end() - first);
   return fit;
 }
 
 }  // namespace
 
+Result<LlcdPlot> llcd_plot(std::span<const double> xs) {
+  auto sorted = sorted_copy(xs);
+  if (!sorted) return sorted.error();
+  return plot_from_sorted(sorted.value());
+}
+
 Result<LlcdFit> llcd_fit(std::span<const double> xs, const LlcdOptions& options) {
-  auto plot_r = llcd_plot(xs);
+  auto sorted_r = sorted_copy(xs);
+  if (!sorted_r) return sorted_r.error();
+  const std::span<const double> sorted = sorted_r.value();
+  auto plot_r = plot_from_sorted(sorted);
   if (!plot_r) return plot_r.error();
   const LlcdPlot& plot = plot_r.value();
 
@@ -86,17 +108,17 @@ Result<LlcdFit> llcd_fit(std::span<const double> xs, const LlcdOptions& options)
     const auto a = fit_above(plot, options.theta, options.min_points);
     if (!a.ok)
       return Error::insufficient_data("llcd_fit: too few points above theta");
-    return with_tail_samples(a.fit, xs);
+    return with_tail_samples(a.fit, sorted);
   }
 
-  // Sorted positive samples, for the quantile-based thetas.
-  std::vector<double> positive;
-  positive.reserve(xs.size());
-  for (double v : xs)
-    if (v > 0.0) positive.push_back(v);
+  // The positive samples, for the quantile-based thetas: the suffix of the
+  // ascending sample.
+  const auto positive = sorted.subspan(static_cast<std::size_t>(
+      std::partition_point(sorted.begin(), sorted.end(),
+                           [](double v) { return !(v > 0.0); }) -
+      sorted.begin()));
   if (positive.size() < options.min_points)
     return Error::insufficient_data("llcd_fit: too few positive samples");
-  std::sort(positive.begin(), positive.end());
 
   if (options.tail_fraction > 0.0) {
     const double q = std::clamp(1.0 - options.tail_fraction, 0.0, 1.0);
@@ -105,7 +127,7 @@ Result<LlcdFit> llcd_fit(std::span<const double> xs, const LlcdOptions& options)
     if (!a.ok)
       return Error::insufficient_data(
           "llcd_fit: too few distinct points in requested tail");
-    return with_tail_samples(a.fit, xs);
+    return with_tail_samples(a.fit, sorted);
   }
 
   // Auto-theta: scan tail fractions from half the sample down to 1%, keep
@@ -123,7 +145,7 @@ Result<LlcdFit> llcd_fit(std::span<const double> xs, const LlcdOptions& options)
   if (!best.ok)
     return Error::insufficient_data(
         "llcd_fit: no tail fraction yields enough distinct points");
-  return with_tail_samples(best.fit, xs);
+  return with_tail_samples(best.fit, sorted);
 }
 
 }  // namespace fullweb::tail

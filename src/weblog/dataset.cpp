@@ -12,6 +12,7 @@ namespace fullweb::weblog {
 
 using support::Error;
 using support::Result;
+using support::Status;
 
 std::string to_string(Load load) {
   switch (load) {
@@ -54,7 +55,7 @@ Result<Dataset> Dataset::from_entries(std::string name,
                                    e.bytes});
   }
   ds.distinct_clients_ = intern.size();
-  ds.finalize(sessionizer);
+  if (auto st = ds.finalize(sessionizer); !st.ok()) return st.error();
   return ds;
 }
 
@@ -80,22 +81,33 @@ Result<Dataset> Dataset::from_requests(std::string name,
     }
   }
   ds.distinct_clients_ = distinct;
-  ds.finalize(sessionizer);
+  if (auto st = ds.finalize(sessionizer); !st.ok()) return st.error();
   return ds;
 }
 
-void Dataset::sort_requests_and_total() {
+Status Dataset::check_window(double t0, double t1) {
+  if (t1 - t0 <= kMaxWindowSeconds) return {};
+  return Error::invalid_argument(
+      "Dataset: observation window [" + support::format_sig(t0, 17) + ", " +
+      support::format_sig(t1, 17) + ") is " +
+      support::format_sig(t1 - t0, 6) + " s long, more than the " +
+      support::format_sig(kMaxWindowSeconds, 8) + " s a Dataset holds");
+}
+
+Status Dataset::sort_requests_and_total() {
   std::sort(requests_.begin(), requests_.end(),
             [](const Request& a, const Request& b) { return a.time < b.time; });
   total_bytes_ = 0;
   for (const auto& r : requests_) total_bytes_ += r.bytes;
   t0_ = std::floor(requests_.front().time);
   t1_ = std::floor(requests_.back().time) + 1.0;
+  return check_window(t0_, t1_);
 }
 
-void Dataset::finalize(const SessionizerOptions& sessionizer) {
-  sort_requests_and_total();
+Status Dataset::finalize(const SessionizerOptions& sessionizer) {
+  if (auto st = sort_requests_and_total(); !st.ok()) return st;
   sessions_ = sessionize(requests_, sessionizer);
+  return {};
 }
 
 namespace {
@@ -188,7 +200,7 @@ Result<Dataset> Dataset::from_clf_stream(std::string name,
   rep.peak_open_sessions = overall_peak;
   rep.sessionized_incrementally = !sessionizer.saw_unsorted();
 
-  ds.sort_requests_and_total();
+  if (auto st = ds.sort_requests_and_total(); !st.ok()) return st.error();
   if (rep.sessionized_incrementally) {
     ds.sessions_ = sessionizer.finish();
   } else {

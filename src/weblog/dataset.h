@@ -58,11 +58,17 @@ enum class Load { kLow, kMed, kHigh };
 
 class Dataset {
  public:
+  /// The longest observation window a Dataset holds: 2^25 s, about 388
+  /// days, where one per-second series takes 256 MiB. Every constructor
+  /// returns invalid_argument, naming the window, for a longer one.
+  static constexpr double kMaxWindowSeconds = 33554432.0;
+
   /// Build from parsed log entries: interns client strings, sorts by time,
   /// and sessionizes with the given threshold. The observation window is
   /// [floor(min time), floor(max time) + 1) — the window every constructor
-  /// derives. Errors on an empty entry list (insufficient_data) and on a
-  /// NaN or infinite timestamp (invalid_argument naming the first one).
+  /// derives. Errors on an empty entry list (insufficient_data), on a NaN
+  /// or infinite timestamp (invalid_argument naming the first one) and on
+  /// a window longer than kMaxWindowSeconds (invalid_argument).
   static support::Result<Dataset> from_entries(
       std::string name, std::span<const LogEntry> entries,
       const SessionizerOptions& sessionizer = {});
@@ -90,8 +96,8 @@ class Dataset {
   /// Client ids follow first appearance in file order, not merged time
   /// order; requests from different files that share a timestamp keep no
   /// particular relative order. Unreadable files are recorded in the
-  /// report (open_failed) rather than failing the ingest; errors only when
-  /// no file yields any entry.
+  /// report (open_failed) rather than failing the ingest; errors when no
+  /// file yields any entry, and on a window longer than kMaxWindowSeconds.
   static support::Result<Dataset> from_clf_stream(
       std::string name, std::span<const std::string> paths,
       const StreamIngestOptions& options = {},
@@ -147,8 +153,9 @@ class Dataset {
   /// to_columnar serializes the request and session tables to `path` and
   /// returns the file size; from_columnar reloads them bit-identically,
   /// skipping CLF parsing, interning and sessionization entirely. Its
-  /// errors carry category "io" when the file cannot be opened and "parse"
-  /// on any format violation.
+  /// errors carry category "io" when the file cannot be opened, "parse"
+  /// on any format violation, and "invalid_argument" for a window longer
+  /// than kMaxWindowSeconds.
   [[nodiscard]] support::Result<std::uint64_t> to_columnar(
       const std::string& path) const;
   [[nodiscard]] static support::Result<Dataset> from_columnar(
@@ -156,9 +163,13 @@ class Dataset {
 
  private:
   Dataset() = default;
-  void finalize(const SessionizerOptions& sessionizer);
-  /// Sort requests_ by time and recompute totals/t0/t1 (no sessionization).
-  void sort_requests_and_total();
+  [[nodiscard]] support::Status finalize(const SessionizerOptions& sessionizer);
+  /// Sort requests_ by time and recompute totals/t0/t1 (no sessionization);
+  /// errors when the window is longer than kMaxWindowSeconds.
+  [[nodiscard]] support::Status sort_requests_and_total();
+  /// invalid_argument naming [t0, t1) when it is longer than
+  /// kMaxWindowSeconds.
+  [[nodiscard]] static support::Status check_window(double t0, double t1);
 
   std::string name_;
   std::vector<Request> requests_;   ///< sorted by time

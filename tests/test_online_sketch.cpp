@@ -1,23 +1,24 @@
 // Property suite for the online layer's mergeable state: the tail sketch's
 // merge laws must hold BIT-EXACTLY (merge(A,B) == merge(B,A),
 // merge-of-merges == flat build, at every split point of a stream), the
-// alias table must be a pure function of its weights, and the canonical
-// oldest-to-newest moment-window fold must be chunking-invariant. These are
-// the invariants that let per-shard sketches combine in any order under
-// core/analyze_fleet and make OnlineAnalyzer snapshots independent of chunk
-// placement.
+// subsample draws must be a pure function of the retained sets and the rng
+// state, and the canonical oldest-to-newest moment-window fold must be
+// chunking-invariant. These are the invariants that let per-shard sketches
+// combine in any order under core/analyze_fleet and make OnlineAnalyzer
+// snapshots independent of chunk placement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "online/alias_table.h"
 #include "online/tail_sketch.h"
 #include "stats/prefix_moments.h"
 #include "support/rng.h"
@@ -288,6 +289,185 @@ TEST(TailSketch, QuantileApproximationIsCloseUnderSampling) {
   EXPECT_EQ(wide.quantiles(std::vector<double>{0.99})[0], exact_q(0.99));
 }
 
+// ---------------------------------------------------------------------------
+// sample_values against the general construction it must equal: a
+// Walker/Vose alias table over one weight per retained item (1 for each
+// top item, then body_w for each body item), drawn with one below(n) and
+// one uniform() per value. The sketch builds the same table from the two
+// weight classes, so its draws must match bit for bit and consume the
+// generator identically.
+
+/// Vose's alias table over any weight vector, with two index worklists
+/// processed as stacks.
+class ReferenceAliasTable {
+ public:
+  explicit ReferenceAliasTable(std::span<const double> weights) {
+    const std::size_t n = weights.size();
+    double total = 0.0;
+    for (double w : weights)
+      if (w > 0.0 && std::isfinite(w)) total += w;
+    if (n == 0 || !(total > 0.0)) return;
+    std::vector<double> scaled(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = weights[i];
+      scaled[i] = (w > 0.0 && std::isfinite(w))
+                      ? w / total * static_cast<double>(n)
+                      : 0.0;
+    }
+    prob_.assign(n, 1.0);
+    alias_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) alias_[i] = i;
+    std::vector<std::size_t> small, large;
+    for (std::size_t i = 0; i < n; ++i)
+      (scaled[i] < 1.0 ? small : large).push_back(i);
+    while (!small.empty() && !large.empty()) {
+      const std::size_t s = small.back();
+      small.pop_back();
+      const std::size_t l = large.back();
+      large.pop_back();
+      prob_[s] = scaled[s];
+      alias_[s] = l;
+      scaled[l] = (scaled[l] + scaled[s]) - 1.0;
+      (scaled[l] < 1.0 ? small : large).push_back(l);
+    }
+    for (std::size_t i : small) prob_[i] = 1.0;
+    for (std::size_t i : large) prob_[i] = 1.0;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return prob_.empty(); }
+
+  [[nodiscard]] std::size_t draw(support::Rng& rng) const noexcept {
+    if (prob_.empty()) return 0;
+    const auto col = static_cast<std::size_t>(rng.below(prob_.size()));
+    const double u = rng.uniform();
+    return u < prob_[col] ? col : alias_[col];
+  }
+
+ private:
+  std::vector<double> prob_;
+  std::vector<std::size_t> alias_;
+};
+
+/// sample_values by definition: the ascending retained multiset when
+/// nothing was dropped and it fits max_n, else max_n alias-table draws.
+std::vector<double> reference_sample_values(const TailSketch& s,
+                                            std::size_t max_n,
+                                            support::Rng& rng) {
+  std::vector<double> out;
+  if (s.count() == 0 || max_n == 0) return out;
+  if (s.dropped() == 0 && s.retained() <= max_n) {
+    for (const auto& it : s.top_items()) out.push_back(it.value);
+    for (const auto& it : s.body_items()) out.push_back(it.value);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  const double body_pop = static_cast<double>(s.count()) -
+                          static_cast<double>(s.top_items().size());
+  const double body_w =
+      s.body_items().empty()
+          ? 0.0
+          : body_pop / static_cast<double>(s.body_items().size());
+  std::vector<double> values, weights;
+  for (const auto& it : s.top_items()) {
+    values.push_back(it.value);
+    weights.push_back(1.0);
+  }
+  for (const auto& it : s.body_items()) {
+    values.push_back(it.value);
+    weights.push_back(body_w);
+  }
+  const ReferenceAliasTable table(weights);
+  if (table.empty()) return out;
+  for (std::size_t i = 0; i < max_n; ++i) out.push_back(values[table.draw(rng)]);
+  return out;
+}
+
+TEST(TailSketch, SampleValuesMatchAliasTableBitForBit) {
+  // Each stream grows one sketch item by item and compares at ~100 sizes
+  // between 1 and 5,000, for several max_n. Streams cover continuous and
+  // heavily tied values, rejected inserts, a body of capacity 0 (top-only
+  // once the top set is full), a top set larger than the stream, and
+  // max_n below the retained count with nothing dropped (the sampled path
+  // with body weight 1).
+  struct Stream {
+    std::size_t top_k, body, n;
+    int kind;  // 0 Pareto, 1 integers 1..4, 2 integers with rejects
+  };
+  const Stream streams[] = {
+      {512, 1024, 5000, 0}, {512, 1024, 5000, 1}, {8, 24, 3000, 1},
+      {64, 0, 2000, 0},     {5000, 16, 1200, 0},  {1, 1, 800, 2},
+      {32, 200, 4000, 2},   {3, 1000, 1500, 0},   {16, 64, 2500, 1},
+      {256, 256, 5000, 0},  {2, 7, 600, 1},       {100, 1, 900, 2}};
+  const std::size_t max_ns[] = {1, 7, 512, 1536, 2000};
+  support::Rng values_rng(77);
+  std::size_t states = 0, exact = 0, sampled = 0, top_only = 0, unit_body = 0,
+              tied = 0;
+  for (std::size_t si = 0; si < std::size(streams); ++si) {
+    const Stream& st = streams[si];
+    TailSketch s(st.top_k, st.body);
+    const std::size_t step = std::max<std::size_t>(1, st.n / 100);
+    for (std::size_t i = 1; i <= st.n; ++i) {
+      const double u = values_rng.uniform_pos();
+      double v = std::pow(u, -1.0 / 1.3);
+      if (st.kind >= 1) v = std::min(std::floor(v), 4.0);
+      if (st.kind == 2 && i % 9 == 0) v = i % 2 ? 0.0 : -v;
+      s.insert(v, TailSketch::make_tag(si, i));
+      if (i % step != 0 && i > 3) continue;
+      for (const std::size_t max_n : max_ns) {
+        support::Rng a(1000 * si + i), b(1000 * si + i);
+        const auto got = s.sample_values(max_n, a);
+        const auto want = reference_sample_values(s, max_n, b);
+        ASSERT_EQ(got.size(), want.size()) << "stream " << si << " n " << i;
+        for (std::size_t k = 0; k < want.size(); ++k)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                    std::bit_cast<std::uint64_t>(want[k]))
+              << "stream " << si << " n " << i << " max_n " << max_n
+              << " draw " << k;
+        ASSERT_EQ(a(), b()) << "generator consumed differently, stream " << si;
+        ++states;
+        const bool is_exact = s.dropped() == 0 && s.retained() <= max_n;
+        (is_exact ? exact : sampled) += 1;
+        if (is_exact) continue;
+        top_only += s.body_items().empty();
+        unit_body += s.dropped() == 0 && !s.body_items().empty();
+        tied += std::any_of(s.body_items().begin(), s.body_items().end(),
+                            [&](const auto& it) {
+                              return it.value == s.top_items().back().value;
+                            });
+      }
+    }
+  }
+  EXPECT_GE(states, 1000u);
+  EXPECT_GT(exact, 100u);
+  EXPECT_GT(sampled, 1000u);
+  EXPECT_GT(top_only, 50u);
+  EXPECT_GT(unit_body, 50u);
+  EXPECT_GT(tied, 200u);
+}
+
+TEST(TailSketch, SampleValuesDrawInProportionToWeights) {
+  // Values 1..16 through a 4 + 4 sketch: the top set holds 13..16 at weight
+  // 1 each, and the 4 body survivors of 1..12 stand in for 12 items, so
+  // each carries weight 3. Out of 16, a top value is drawn 1/16 of the
+  // time and a body survivor 3/16.
+  TailSketch s(4, 4);
+  for (std::size_t i = 1; i <= 16; ++i)
+    s.insert(static_cast<double>(i), TailSketch::make_tag(12, i));
+  ASSERT_EQ(s.dropped(), 8u);
+  support::Rng rng(7);
+  const std::size_t draws = 200000;
+  const auto sample = s.sample_values(draws, rng);
+  ASSERT_EQ(sample.size(), draws);
+  const auto frequency = [&](double v) {
+    return static_cast<double>(std::count(sample.begin(), sample.end(), v)) /
+           static_cast<double>(draws);
+  };
+  for (const auto& it : s.top_items())
+    EXPECT_NEAR(frequency(it.value), 1.0 / 16.0, 0.01) << it.value;
+  for (const auto& it : s.body_items())
+    EXPECT_NEAR(frequency(it.value), 3.0 / 16.0, 0.01) << it.value;
+}
+
 TEST(TailSketch, RejectsNonPositiveAndNonFinite) {
   TailSketch s(8, 8);
   s.insert(0.0, 1);
@@ -301,43 +481,6 @@ TEST(TailSketch, RejectsNonPositiveAndNonFinite) {
   EXPECT_TRUE(std::isnan(q[0]) && std::isnan(q[1]));
   support::Rng rng(1);
   EXPECT_TRUE(s.sample_values(10, rng).empty());
-}
-
-TEST(AliasTable, DeterministicAndEmptySafe) {
-  const std::vector<double> w{1.0, 2.0, 3.0, 4.0};
-  const AliasTable t1(w), t2(w);
-  support::Rng a(123), b(123);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(t1.draw(a), t2.draw(b));
-
-  const AliasTable empty(std::vector<double>{});
-  EXPECT_TRUE(empty.empty());
-  const AliasTable zeros(std::vector<double>{0.0, 0.0});
-  EXPECT_TRUE(zeros.empty());
-}
-
-TEST(AliasTable, DrawFrequenciesMatchWeights) {
-  const std::vector<double> w{1.0, 2.0, 3.0, 4.0};  // total 10
-  const AliasTable t(w);
-  support::Rng rng(7);
-  std::vector<std::size_t> hits(w.size(), 0);
-  const std::size_t draws = 200000;
-  for (std::size_t i = 0; i < draws; ++i) ++hits[t.draw(rng)];
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const double expected = w[i] / 10.0;
-    const double got = static_cast<double>(hits[i]) / draws;
-    EXPECT_NEAR(got, expected, 0.01) << "index " << i;
-  }
-}
-
-TEST(AliasTable, SkipsNonFiniteWeights) {
-  const std::vector<double> w{1.0, std::numeric_limits<double>::quiet_NaN(),
-                              1.0, -5.0};
-  const AliasTable t(w);
-  support::Rng rng(9);
-  for (int i = 0; i < 2000; ++i) {
-    const std::size_t idx = t.draw(rng);
-    EXPECT_TRUE(idx == 0 || idx == 2);
-  }
 }
 
 TEST(MomentWindow, CanonicalFoldIsChunkingInvariant) {

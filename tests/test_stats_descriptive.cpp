@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <vector>
+
+#include "support/rng.h"
 
 namespace fullweb::stats {
 namespace {
@@ -87,31 +93,61 @@ TEST(Summarize, EmptyInput) {
   EXPECT_EQ(s.n, 0U);
 }
 
-TEST(Ecdf, StrictlyIncreasingToOne) {
-  const std::vector<double> xs = {3, 1, 2, 2, 5};
-  const Ecdf e = ecdf(xs);
-  ASSERT_EQ(e.x.size(), 4U);  // distinct values 1,2,3,5
-  EXPECT_DOUBLE_EQ(e.x[0], 1.0);
-  EXPECT_DOUBLE_EQ(e.f[0], 0.2);
-  EXPECT_DOUBLE_EQ(e.x[1], 2.0);
-  EXPECT_DOUBLE_EQ(e.f[1], 0.6);  // ties collapse to the last occurrence
-  EXPECT_DOUBLE_EQ(e.f.back(), 1.0);
-  for (std::size_t i = 1; i < e.f.size(); ++i) EXPECT_GT(e.f[i], e.f[i - 1]);
-}
-
-TEST(Ecdf, CcdfComplements) {
-  const std::vector<double> xs = {1, 2, 3, 4};
-  const Ecdf e = ecdf(xs);
-  const auto c = e.ccdf();
-  ASSERT_EQ(c.size(), e.f.size());
-  for (std::size_t i = 0; i < c.size(); ++i)
-    EXPECT_DOUBLE_EQ(c[i], 1.0 - e.f[i]);
-  EXPECT_DOUBLE_EQ(c.back(), 0.0);
-}
-
-TEST(Ecdf, EmptyInput) {
-  const Ecdf e = ecdf({});
-  EXPECT_TRUE(e.x.empty());
+TEST(RadixSort, MatchesStdSortWithNegativeZeroFirst) {
+  // Random doubles of every exponent (subnormals through overflow to inf),
+  // both signs, heavy ties, whole numbers that share low mantissa bytes,
+  // and the special values sprinkled in. The sequence must be std::sort's,
+  // with the one difference std::sort leaves open: its run of zeros may
+  // mix -0.0 and +0.0 in any order, the radix sort puts -0.0 first.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double specials[] = {0.0,
+                             -0.0,
+                             kInf,
+                             -kInf,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             0x1.8p-1030,
+                             -0x1.8p-1030,
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::lowest(),
+                             1.0,
+                             -1.0};
+  support::Rng rng(4242);
+  for (std::size_t c = 0; c < 600; ++c) {
+    const std::size_t n =
+        c % 7 == 0 ? static_cast<std::size_t>(rng.below(5000))
+                   : static_cast<std::size_t>(rng.below(64));
+    std::vector<double> xs(n);
+    for (auto& x : xs) {
+      const double sign = rng.uniform() < 0.5 ? -1.0 : 1.0;
+      switch (c % 4) {
+        case 0:  // any exponent
+          x = sign * std::ldexp(rng.uniform(),
+                                static_cast<int>(rng.below(2100)) - 1074);
+          break;
+        case 1:  // few values, both signs
+          x = sign * static_cast<double>(rng.below(6));
+          break;
+        case 2:  // whole numbers, like byte counts
+          x = std::floor(std::pow(rng.uniform_pos(), -1.0 / 1.2));
+          break;
+        default:  // one value repeated, sometimes
+          x = c % 8 == 3 ? 2.5 : sign * rng.uniform();
+          break;
+      }
+      if (rng.uniform() < 0.1) x = specials[rng.below(std::size(specials))];
+    }
+    std::vector<double> want = xs;
+    std::sort(want.begin(), want.end());
+    const auto [zlo, zhi] = std::equal_range(want.begin(), want.end(), 0.0);
+    std::stable_partition(zlo, zhi, [](double z) { return std::signbit(z); });
+    radix_sort(xs);
+    ASSERT_EQ(xs.size(), want.size());
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(xs[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "case " << c << " n " << n << " i " << i;
+  }
 }
 
 }  // namespace

@@ -311,8 +311,18 @@ support::Result<LlcdFit> reference_fit(std::span<const double> xs,
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// One random sample of the kind `kind` names: continuous, on a lattice with
-/// heavy ties, few-valued, or signed with zeros of both signs among ties.
+/// heavy ties, few-valued, signed with zeros of both signs among ties, one
+/// of those four already in ascending order, or one value repeated.
 std::vector<double> mixed_sample(int kind, std::size_t n, support::Rng& rng) {
+  if (kind == 6) {
+    auto xs = mixed_sample(static_cast<int>(rng.below(6)), n, rng);
+    std::sort(xs.begin(), xs.end());
+    return xs;
+  }
+  if (kind == 7) {
+    const double values[] = {1.0, 3.5, 0.0, -0.0, -2.0};
+    return std::vector<double>(n, values[rng.below(std::size(values))]);
+  }
   const stats::Pareto pareto(0.8 + 2.0 * rng.uniform(), 1.0);
   const stats::Lognormal lognormal(3.0 * rng.uniform() - 1.0,
                                    0.3 + 2.0 * rng.uniform());
@@ -341,8 +351,10 @@ TEST(LlcdReference, PlotAndFitMatchBitForBit) {
   support::Rng rng(2024);
   std::size_t plots = 0;
   std::size_t fits = 0;
-  for (std::size_t c = 0; c < 1200; ++c) {
-    const int kind = static_cast<int>(c % 6);
+  for (std::size_t c = 0; c < 1500; ++c) {
+    // From case 1,200 on, samples are already ascending or all equal.
+    const int kind =
+        c < 1200 ? static_cast<int>(c % 6) : 6 + static_cast<int>(c % 2);
     const std::size_t n = c % 4 == 3 ? 2 + rng.below(4999) : 2 + rng.below(400);
     const auto xs = mixed_sample(kind, n, rng);
 

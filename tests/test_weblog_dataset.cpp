@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "support/rng.h"
 
@@ -186,6 +191,48 @@ TEST(Dataset, UncountableIntervalYieldsNoIntervals) {
   }
   // One second is the shortest interval counted.
   EXPECT_EQ(ds.partition(1.0).size(), static_cast<std::size_t>(ds.t1() - ds.t0()));
+}
+
+// A finite window of any length used to build, and the per-second series
+// over it then asked for one bin per second of it: two requests 1e15 s
+// apart died in requests_per_second() and partition() with bad_alloc.
+// Every constructor refuses a window longer than 2^25 s and names it.
+TEST(Dataset, RejectsWindowLongerThanTheBound) {
+  const double bound = std::ldexp(1.0, 25);
+  const auto requests = [](double last) {
+    return std::vector<Request>{Request{0.0, 0, 200, 1}, Request{last, 1, 200, 2}};
+  };
+  // [0, 2^25) is the longest window held.
+  const auto at_bound = Dataset::from_requests("at-bound", requests(bound - 0.5));
+  ASSERT_TRUE(at_bound.ok()) << at_bound.error().message;
+  EXPECT_EQ(at_bound.value().t1() - at_bound.value().t0(), bound);
+
+  const auto expect_rejected = [](const auto& ds, const std::string& what) {
+    ASSERT_FALSE(ds.ok()) << what;
+    EXPECT_EQ(ds.error().category, "invalid_argument") << what;
+    EXPECT_NE(ds.error().message.find("observation window [0, "),
+              std::string::npos)
+        << ds.error().message;
+  };
+  for (const double last : {bound, 1e15}) {
+    const std::string what = "last request at " + std::to_string(last);
+    expect_rejected(Dataset::from_requests("wide", requests(last)), what);
+    const std::vector<LogEntry> entries = {entry(0.0, "a", 1),
+                                           entry(last, "b", 2)};
+    expect_rejected(Dataset::from_entries("wide", entries), what);
+  }
+
+  // The streaming ingest: CLF lines five years apart.
+  const std::string path =
+      "/tmp/fullweb_wide_window_" + std::to_string(::getpid()) + ".log";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << to_clf_line(entry(0.0, "a", 1)) << "\n"
+       << to_clf_line(entry(5 * 365 * 86400.0, "b", 2)) << "\n";
+  }
+  const std::vector<std::string> paths = {path};
+  expect_rejected(Dataset::from_clf_stream("wide", paths), "CLF stream");
+  std::remove(path.c_str());
 }
 
 // The partition grid starts at the window start, so its first interval is
