@@ -72,6 +72,8 @@ endif()
 # of range, as an infinite interval once was). test_shared_kernels covers
 # the aggregation pyramid's two routes, which index block_means output by
 # level, and the prefix-moment block queries.
+# test_stats_tests: the KPSS lag kernel's per-lag tails and last-tile reads are index math.
+# test_timeseries: counts_per_bin's bin-index cast is what float-cast-overflow flags.
 set(FULLWEB_ASAN_TESTS
   test_stats_fft test_stats_acf test_tail_curvature test_tail_llcd
   test_tail_hill
@@ -80,7 +82,8 @@ set(FULLWEB_ASAN_TESTS
   test_validation test_weblog_corpus test_weblog_parser_identity
   test_store_columnar test_online_sketch test_online_analyzer
   test_stats_periodogram test_weblog_streaming test_weblog_sessionizer
-  test_stats_descriptive test_weblog_dataset test_shared_kernels)
+  test_stats_descriptive test_weblog_dataset test_shared_kernels
+  test_stats_tests test_timeseries)
 
 message(STATUS "[asan] building ${FULLWEB_ASAN_TESTS}")
 execute_process(

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "lrd/variance_time.h"
+#include "stats/descriptive.h"
 
 namespace fullweb::online {
 
@@ -125,10 +126,13 @@ OnlineSnapshot OnlineAnalyzer::snapshot() const {
     const auto bb = static_cast<std::int64_t>(opts_.block_bins);
     s.window_first_bin = std::max(ring_.front().index * bb, first_abin_);
     s.window_last_bin = last_abin_;
-    s.counts = stats::MomentSummary::of(win);
-    s.kpss.assign(stats::kpss_test(win, opts_.kpss_null));
-    // Variance-time and FRS read the same block variances of the window.
+    // One PrefixMoments of the window gives the count summary, KPSS's
+    // demeaning, and the block variances variance-time and FRS read.
     const stats::PrefixMoments pm(win);
+    s.counts = pm.summary();
+    s.counts.min = stats::min_value(win);
+    s.counts.max = stats::max_value(win);
+    s.kpss.assign(stats::kpss_test(win, pm, opts_.kpss_null));
     s.hurst_vt.assign(lrd::variance_time_hurst(pm));
     s.frs.assign(frs_memory_from_counts(pm, FrsOptions{opts_.frs_scales, 4}));
   } else {

@@ -151,8 +151,8 @@ double max_value(std::span<const double> xs) noexcept {
 }
 
 double quantile_sorted(std::span<const double> sorted, double q) noexcept {
-  assert(!sorted.empty());
-  if (std::isnan(q)) return std::numeric_limits<double>::quiet_NaN();
+  if (sorted.empty() || std::isnan(q))
+    return std::numeric_limits<double>::quiet_NaN();
   q = std::clamp(q, 0.0, 1.0);
   const double idx = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(idx);

@@ -64,11 +64,11 @@ void minmax_prefix_walk(std::span<const double> cum, double base, double step,
 [[nodiscard]] double max_value(std::span<const double> xs) noexcept;
 
 /// Linear-interpolated quantile (type 7, the R default). q in [0, 1].
-/// Precondition: !xs.empty(). Input need not be sorted.
+/// Input need not be sorted. An empty xs or a NaN q yields NaN.
 [[nodiscard]] double quantile(std::span<const double> xs, double q);
 
 /// Quantile on data the caller has already sorted ascending (no copy).
-/// A NaN q yields NaN.
+/// An empty span or a NaN q yields NaN.
 [[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q) noexcept;
 
 /// Sorts ascending by an LSD radix sort over order-preserving keys, 8 bits

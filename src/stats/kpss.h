@@ -34,11 +34,22 @@ struct KpssResult {
   }
 };
 
+class PrefixMoments;
+
 /// Run the KPSS test. `lag` < 0 selects the standard "long" bandwidth
 /// l = floor(12 (n/100)^{1/4}); pass an explicit non-negative value to
-/// override. Requires n >= 10.
+/// override (values above n - 1 are clamped to it). Requires n >= 10. A
+/// series holding NaN or +-inf is an `invalid_argument` error naming them;
+/// a constant one is a `numeric` error (zero long-run variance).
 [[nodiscard]] support::Result<KpssResult> kpss_test(
     std::span<const double> xs, KpssNull null_hypothesis = KpssNull::kLevel,
     long lag = -1);
+
+/// The same test, bit for bit, reading the level null's demeaning from
+/// `pm`, the prefix moments of xs (a caller that already holds them skips
+/// two compensated passes). `invalid_argument` when pm.size() != xs.size().
+[[nodiscard]] support::Result<KpssResult> kpss_test(
+    std::span<const double> xs, const PrefixMoments& pm,
+    KpssNull null_hypothesis = KpssNull::kLevel, long lag = -1);
 
 }  // namespace fullweb::stats

@@ -1,6 +1,6 @@
 // Compensated prefix moments: the shared compute layer behind the
-// block/aggregation-based statistics (variance-time, R/S, KPSS,
-// aggregated_variances).
+// block/aggregation-based statistics (variance-time, R/S, FRS,
+// aggregated_variances) and the online snapshot's KPSS demeaning.
 //
 // One O(n) pass builds Neumaier-compensated prefix sums of the
 // anchor-centered series v_t = x_t - anchor (anchor = compensated mean) and
@@ -107,17 +107,17 @@ class PrefixMoments {
   /// variance-time plot's per-level ingredient, O(n / m) per level.
   [[nodiscard]] double aggregated_variance(std::size_t m) const noexcept;
 
-  /// The whole series collapsed to mergeable moment state (count, mean,
-  /// m2) in O(1) from the prefix arrays. Min/max are not tracked by the
-  /// prefix pass and are left at the summary's whole-series mean (a value
-  /// guaranteed inside the sample range) — callers needing real extremes
-  /// fill them from the data (MomentSummary::of does).
+  /// The whole series collapsed to mergeable moment state in O(1): count,
+  /// mean anchor() and m2 the compensated sum of (x_t - anchor)^2 clamped
+  /// at 0, which are MomentSummary::of's bits. Min/max are not tracked by
+  /// the prefix pass and are left at the mean (a value inside the sample
+  /// range); callers needing real extremes fill them from the data.
   [[nodiscard]] MomentSummary summary() const noexcept {
     MomentSummary s;
     s.count = n_;
     if (n_ == 0) return s;
-    s.mean = block_mean(0, n_);
-    s.m2 = block_sum_sq_dev(0, n_);
+    s.mean = anchor_;
+    s.m2 = cum2_[n_] > 0.0 ? cum2_[n_] : 0.0;
     s.min = s.mean;
     s.max = s.mean;
     return s;

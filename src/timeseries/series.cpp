@@ -1,7 +1,6 @@
 #include "timeseries/series.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <set>
 
@@ -12,12 +11,15 @@ namespace fullweb::timeseries {
 
 std::vector<double> counts_per_bin(std::span<const double> event_times, double t0,
                                    double t1, double bin_seconds) {
-  assert(t1 > t0 && bin_seconds > 0.0);
-  const auto nbins =
-      static_cast<std::size_t>(std::ceil((t1 - t0) / bin_seconds));
+  if (!(bin_seconds > 0.0) || !std::isfinite(bin_seconds) ||
+      !std::isfinite(t0) || !std::isfinite(t1) || !(t1 > t0))
+    return {};
+  const double bins = std::ceil((t1 - t0) / bin_seconds);
+  if (!(bins < 0x1p63)) return {};  // not a vector length
+  const auto nbins = static_cast<std::size_t>(bins);
   std::vector<double> counts(nbins, 0.0);
   for (double t : event_times) {
-    if (t < t0 || t >= t1) continue;
+    if (!(t >= t0 && t < t1)) continue;  // also skips NaN
     auto idx = static_cast<std::size_t>((t - t0) / bin_seconds);
     if (idx >= nbins) idx = nbins - 1;  // guard FP edge at t ~= t1
     counts[idx] += 1.0;
@@ -26,7 +28,7 @@ std::vector<double> counts_per_bin(std::span<const double> event_times, double t
 }
 
 std::vector<double> aggregate(std::span<const double> xs, std::size_t m) {
-  assert(m >= 1);
+  if (m == 0) return {};
   if (m == 1) return {xs.begin(), xs.end()};
   const std::size_t blocks = xs.size() / m;
   std::vector<double> out(blocks);

@@ -16,13 +16,15 @@ namespace fullweb::timeseries {
 
 /// Build a counts-per-bin series from event timestamps (seconds, not
 /// necessarily sorted). The series spans [t0, t1) with `bin_seconds` bins;
-/// events outside the span are ignored.
+/// events outside the span, and NaN times, are ignored. The series is empty
+/// when bin_seconds is not finite and positive, when t0 or t1 is not finite
+/// or t1 <= t0, or when the span holds 2^63 bins or more.
 [[nodiscard]] std::vector<double> counts_per_bin(std::span<const double> event_times,
                                                  double t0, double t1,
                                                  double bin_seconds = 1.0);
 
-/// Block-average aggregation at level m (eq. 1). m == 1 returns a copy.
-/// Precondition: m >= 1. A trailing partial block is dropped.
+/// Block-average aggregation at level m (eq. 1). m == 1 returns a copy;
+/// m == 0 returns an empty series. A trailing partial block is dropped.
 [[nodiscard]] std::vector<double> aggregate(std::span<const double> xs,
                                             std::size_t m);
 

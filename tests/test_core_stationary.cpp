@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -99,6 +101,18 @@ TEST(MakeStationary, ShortSeriesSkipsSeasonalDetection) {
 TEST(MakeStationary, ErrorsOnDegenerateInput) {
   EXPECT_FALSE(make_stationary(std::vector<double>(5, 1.0)).ok());
   EXPECT_FALSE(make_stationary(std::vector<double>(100, 3.0)).ok());
+}
+
+TEST(MakeStationary, NamesNonFiniteInput) {
+  // The raw KPSS names a NaN or inf input, and make_stationary passes its
+  // error on (it used to say "constant series").
+  auto xs = workload_like(8000, 200, 0.002, 4.0, 9);
+  xs[4000] = std::numeric_limits<double>::quiet_NaN();
+  const auto r = make_stationary(xs, short_day_options());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().category, "invalid_argument");
+  EXPECT_NE(r.error().message.find("NaN or inf"), std::string::npos)
+      << r.error().message;
 }
 
 TEST(MakeStationary, SeasonalStrengthReported) {

@@ -12,6 +12,9 @@
 // lengths and a week-length fGn draw, each by one digest. GoldenCurvature
 // pins Downey's curvature test (statistic, p-value and fitted null) for both
 // nulls on continuous and tied samples.
+// GoldenKpss pins the KPSS statistic, lag and p-value for both nulls at the
+// automatic and at explicit lags, on a week of counts, a snapshot window, an
+// offset fGn series and the short lengths whose lag sums end in lane tails.
 // GoldenOnline pins the bytes of every periodic OnlineAnalyzer
 // snapshot of a fixed stream by one digest, so a change to any estimator
 // the snapshot reports shows here. If an "optimization" ever changes a bit
@@ -33,6 +36,7 @@
 #include "online/frs_memory.h"
 #include "stats/distributions.h"
 #include "stats/fft.h"
+#include "stats/kpss.h"
 #include "stats/prefix_moments.h"
 #include "support/rng.h"
 #include "tail/curvature.h"
@@ -328,6 +332,74 @@ TEST(GoldenFrs, EstimateMatchesReferenceBits) {
                 1e-9)
         << "scale " << scale;
   }
+}
+
+/// Digest of kpss_test on xs for both nulls at the automatic lag and at
+/// explicit lags 0 and 1, and at n + 5 (clamped to n - 1) when `long_lag`:
+/// the statistic's and p-value's bits and the lag used. Every call succeeds.
+void add_kpss(Fnv1a& d, std::span<const double> xs, bool long_lag) {
+  std::vector<long> lags = {-1, 0, 1};
+  if (long_lag) lags.push_back(static_cast<long>(xs.size()) + 5);
+  for (const stats::KpssNull null :
+       {stats::KpssNull::kLevel, stats::KpssNull::kTrend}) {
+    for (const long lag : lags) {
+      const auto r = stats::kpss_test(xs, null, lag);
+      ASSERT_TRUE(r.ok()) << "n=" << xs.size() << " lag=" << lag << ": "
+                          << r.error().message;
+      d.add(r.value().statistic);
+      d.add(r.value().p_value);
+      d.add(static_cast<double>(r.value().lag));
+    }
+  }
+}
+
+std::uint64_t kpss_digest(std::span<const double> xs, bool long_lag) {
+  Fnv1a d;
+  add_kpss(d, xs, long_lag);
+  return d.value();
+}
+
+constexpr std::uint64_t kKpssWeek = 0x9992c8dbee260eb1ULL;
+constexpr std::uint64_t kKpssWindow = 0x2b4e588b69d912caULL;
+constexpr std::uint64_t kKpssOffsetFgn = 0xa2740e20ebc93edfULL;
+constexpr std::uint64_t kKpssShort = 0x6622f34bbf423f46ULL;
+
+TEST(GoldenKpss, WeekOfCountsMatchesReferenceDigest) {
+  // The fit's per-second series length (l = 105 at the automatic lag); a
+  // lag of n - 1 here would take n^2 / 2 products, so it stops at lag 1.
+  const auto counts = swinging_counts(604800, 41);
+  const std::uint64_t d = kpss_digest(counts, false);
+  EXPECT_EQ(d, kKpssWeek) << std::hex << d;
+}
+
+TEST(GoldenKpss, SnapshotWindowMatchesReferenceDigest) {
+  // The online snapshot's default window (l = 30 at the automatic lag).
+  const auto counts = swinging_counts(4096, 43);
+  const std::uint64_t d = kpss_digest(counts, true);
+  EXPECT_EQ(d, kKpssWindow) << std::hex << d;
+}
+
+TEST(GoldenKpss, OffsetFgnMatchesReferenceDigest) {
+  // A large offset makes the residuals' demeaning and partial sums lean on
+  // the compensated sums.
+  auto xs = draw_fgn(8192, 0.8, 47);
+  ASSERT_EQ(xs.size(), 8192U);
+  for (auto& x : xs) x += 4.0e8;
+  const std::uint64_t d = kpss_digest(xs, true);
+  EXPECT_EQ(d, kKpssOffsetFgn) << std::hex << d;
+}
+
+TEST(GoldenKpss, ShortLengthsMatchReferenceDigest) {
+  // n = 10 ... 17: every lag's products end in a tail of 0-3 past its
+  // last whole quad.
+  support::Rng rng(53);
+  Fnv1a d;
+  for (std::size_t n = 10; n <= 17; ++n) {
+    std::vector<double> xs(n);
+    for (auto& x : xs) x = 3.0 + rng.normal();
+    add_kpss(d, xs, true);
+  }
+  EXPECT_EQ(d.value(), kKpssShort) << std::hex << d.value();
 }
 
 /// Exact bits of one curvature test: the statistic, the Monte-Carlo p-value

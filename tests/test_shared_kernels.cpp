@@ -131,11 +131,13 @@ TEST(MomentSummary, OfMatchesNaiveAndPrefixMoments) {
   EXPECT_EQ(s.min, *std::min_element(xs.begin(), xs.end()));
   EXPECT_EQ(s.max, *std::max_element(xs.begin(), xs.end()));
 
+  // The prefix moments carry of()'s mean and m2 to the bit: anchor() is the
+  // same compensated mean, and the last prefix of squares the same sum.
   const stats::PrefixMoments pm(xs);
   const auto ps = pm.summary();
   EXPECT_EQ(ps.count, s.count);
-  EXPECT_NEAR(ps.mean, s.mean, 1e-12 + 1e-12 * std::abs(s.mean));
-  EXPECT_NEAR(ps.m2, s.m2, 1e-9 + 1e-9 * s.m2);
+  EXPECT_EQ(bits(ps.mean), bits(s.mean));
+  EXPECT_EQ(bits(ps.m2), bits(s.m2));
 }
 
 TEST(MomentSummary, MergeOfDisjointPartsMatchesWhole) {

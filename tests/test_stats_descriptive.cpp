@@ -76,6 +76,16 @@ TEST(Quantile, NaNQIsNaN) {
   EXPECT_TRUE(std::isnan(quantile(xs, nan)));
 }
 
+TEST(Quantile, EmptySampleIsNaN) {
+  // An empty sample has no quantile; it used to read before the data
+  // (SIGSEGV under NDEBUG).
+  const std::vector<double> none;
+  for (const double q : {0.0, 0.5, 1.0}) {
+    EXPECT_TRUE(std::isnan(quantile(none, q))) << q;
+    EXPECT_TRUE(std::isnan(quantile_sorted(none, q))) << q;
+  }
+}
+
 TEST(Summarize, FiveNumbers) {
   const std::vector<double> xs = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   const Summary s = summarize(xs);

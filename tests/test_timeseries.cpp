@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "stats/descriptive.h"
@@ -42,6 +44,40 @@ TEST(CountsPerBin, WiderBins) {
 TEST(CountsPerBin, PartialLastBin) {
   const auto counts = counts_per_bin(std::vector<double>{}, 0.0, 5.0, 2.0);
   EXPECT_EQ(counts.size(), 3U);  // ceil(5/2)
+}
+
+TEST(CountsPerBin, DegenerateArgumentsGiveAnEmptySeries) {
+  // A zero width once indexed past the vector and a NaN width threw
+  // std::length_error; every bad width or window is now the documented
+  // empty series.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> events = {0.5, 1.5, 2.5};
+  for (const double width : {0.0, -1.0, nan, inf, -inf})
+    EXPECT_TRUE(counts_per_bin(events, 0.0, 4.0, width).empty()) << width;
+  for (const auto& [t0, t1] :
+       {std::pair{4.0, 4.0}, std::pair{4.0, 0.0}, std::pair{nan, 4.0},
+        std::pair{0.0, nan}, std::pair{-inf, 4.0}, std::pair{0.0, inf}})
+    EXPECT_TRUE(counts_per_bin(events, t0, t1, 1.0).empty())
+        << "[" << t0 << ", " << t1 << ")";
+  // A finite window of more bins than a vector can hold.
+  EXPECT_TRUE(counts_per_bin(events, 0.0, 1.0e300, 1.0e-300).empty());
+}
+
+TEST(CountsPerBin, NonFiniteTimesAreNotCounted) {
+  // A NaN time used to pass the window test and land in the last bin.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> events = {0.5, 1.5, nan, inf, -inf, 2.5};
+  const auto counts = counts_per_bin(events, 0.0, 4.0, 1.0);
+  EXPECT_EQ(counts, (std::vector<double>{1.0, 1.0, 1.0, 0.0}));
+}
+
+TEST(Aggregate, LevelZeroIsEmpty) {
+  // m = 0 used to divide by zero (SIGFPE under NDEBUG).
+  const std::vector<double> xs = {1, 2, 3};
+  EXPECT_TRUE(aggregate(xs, 0).empty());
+  EXPECT_TRUE(aggregate(std::vector<double>{}, 0).empty());
 }
 
 TEST(Aggregate, PaperEquationOne) {
